@@ -37,9 +37,9 @@ from .pipeline import (
     EXPORT_FORMATS,
     PipelineConfig,
     analyze_period,
-    _period_to_json,
     config_from_sources,
     export,
+    period_to_json,
     run_timeseries,
 )
 from .spectral import SPECTRUM_MODES
@@ -67,8 +67,9 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True) -> No
                      help="matrix used for lambda_max and the market mode")
     sub.add_argument("--volume-mode", choices=VOLUME_MODES, default=None,
                      help="volume share counts lending, borrowing, or both")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="periods analyzed concurrently (default 1)")
+    # Accepted and ignored: periods always run serially, but existing
+    # scripts still pass this flag.
+    sub.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     sub.add_argument("--normalize-lambda", action="store_true", default=None,
                      help="also emit lambda_max divided by total volume")
     sub.add_argument("--include-lambda-values", action="store_true", default=None,
@@ -138,7 +139,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         "null_mode": args.null_mode,
         "spectrum_mode": args.spectrum_mode,
         "volume_mode": args.volume_mode,
-        "workers": args.workers,
         "normalize_lambda": args.normalize_lambda,
         "include_lambda_values": args.include_lambda_values,
     }
@@ -159,7 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args)
     records = parse_flow_file(args.input)
     result = analyze_period(records, args.period, config)
-    payload = _period_to_json(result, config.include_lambda_values)
+    payload = period_to_json(result, config.include_lambda_values)
     _emit(json.dumps(payload, indent=2) + "\n", args.out, f"period_{args.period}.json")
     return 0
 

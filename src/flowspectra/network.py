@@ -45,6 +45,11 @@ class NetworkSnapshot:
             raise DataError("weights must be finite")
         if weights.min(initial=0.0) < 0:
             raise DataError("weights must be nonnegative")
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not np.isfinite(total):
+            raise DataError(f"{self.period}: total volume overflows: the weights "
+                            "are finite but their sum exceeds the float maximum")
         if np.any(np.diagonal(weights) != 0):
             raise DataError("diagonal must be exactly zero")
 

@@ -2,15 +2,13 @@
 
 A run is reproducible from one master seed: period t's null ensemble is
 seeded from (master seed, t) with t the period's index in the full sorted
-period list, so results do not depend on which periods are analyzed or in
-what order they complete.
+period list, so results do not depend on which periods are analyzed.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -57,7 +55,6 @@ class PipelineConfig:
     volume_mode: str = "both"
     normalize_lambda: bool = False
     include_lambda_values: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -70,8 +67,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown spectrum mode {self.spectrum_mode!r}")
         if self.volume_mode not in VOLUME_MODES:
             raise ConfigError(f"unknown volume mode {self.volume_mode!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
 
     def as_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -165,9 +160,10 @@ def analyze_period(records: FlowRecordSet, period: str,
         stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode)
         shares = volume_share(snapshot, config.volume_mode)
     except FlowspectraError as exc:
-        if str(exc).startswith(f"{period}:"):
-            raise
-        raise type(exc)(f"{period}: {exc}") from exc
+        # Prefix in place so subclass attributes (residual, iterations) survive.
+        if not str(exc).startswith(f"{period}:"):
+            exc.args = (f"{period}: {exc}",)
+        raise
 
     total = total_volume(snapshot)
     return PeriodResult(
@@ -198,41 +194,21 @@ def run_timeseries(records: FlowRecordSet,
     if not periods:
         raise DataError("record set has no periods")
 
-    to_analyze: list[str] = []
+    results: list[PeriodResult] = []
     skipped: list[str] = []
+    failures: list[tuple[str, str]] = []
     for period in periods:
-        snapshot = build_snapshot(records, period)
-        if snapshot.weights.any():
-            to_analyze.append(period)
-        else:
+        # Amounts are finite and nonnegative, so the matrix is all-zero
+        # exactly when every amount is zero; no snapshot is needed to tell.
+        if not any(r.amount for r in records.records_by_period[period]):
             logger.warning("skipping period %s: all-zero matrix", period)
             skipped.append(period)
-
-    outcomes: dict[str, PeriodResult | FlowspectraError] = {}
-
-    def work(period: str) -> PeriodResult | FlowspectraError:
+            continue
         try:
-            return analyze_period(records, period, config)
+            results.append(analyze_period(records, period, config))
         except FlowspectraError as exc:
-            return exc
-
-    if config.workers > 1 and len(to_analyze) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for period, outcome in zip(to_analyze, pool.map(work, to_analyze)):
-                outcomes[period] = outcome
-    else:
-        for period in to_analyze:
-            outcomes[period] = work(period)
-
-    results: list[PeriodResult] = []
-    failures: list[tuple[str, str]] = []
-    for period in to_analyze:
-        outcome = outcomes[period]
-        if isinstance(outcome, PeriodResult):
-            results.append(outcome)
-        else:
-            logger.warning("period %s failed: %s", period, outcome)
-            failures.append((period, str(outcome)))
+            logger.warning("period %s failed: %s", period, exc)
+            failures.append((period, str(exc)))
 
     if not results:
         detail = "; ".join(msg for _, msg in failures) or "all periods skipped"
@@ -253,7 +229,7 @@ def run_timeseries(records: FlowRecordSet,
 # ---------------------------------------------------------------------------
 
 
-def _period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
+def period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
     payload: dict[str, Any] = {
         "period": result.period,
         "entities": list(result.entities),
@@ -309,7 +285,7 @@ def timeseries_to_json(result: TimeSeriesResult) -> dict:
         "config": dict(result.config),
         "skipped": list(result.skipped),
         "failures": [[period, message] for period, message in result.failures],
-        "periods": [_period_to_json(r, include_values) for r in result.results],
+        "periods": [period_to_json(r, include_values) for r in result.results],
     }
 
 

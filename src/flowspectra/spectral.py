@@ -39,11 +39,9 @@ class SpectralSummary:
     """Eigenvalues (descending), unit eigenvectors, and per-vector IPRs.
 
     `eigenvectors[k]` is the unit-norm vector for `eigenvalues[k]`;
-    `market_mode` is the eigenvector of `lambda_max`. `mode` records which
-    matrix the spectrum came from.
+    `market_mode` is the eigenvector of `lambda_max`.
     """
 
-    mode: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     iprs: np.ndarray
@@ -118,6 +116,12 @@ def power_iteration(matrix: np.ndarray, *, lam_rtol: float = LAMBDA_RTOL,
     if not a.any():
         raise DataError("zero matrix has no leading eigenpair")
 
+    # Iterate on the matrix scaled by a power of two that puts its largest
+    # entry in [0.5, 1): exact, and vector norms can no longer underflow or
+    # overflow (which would turn a positive radius into 0).
+    exponent = int(np.frexp(a.max())[1])
+    a = np.ldexp(a, -exponent)
+
     null_vector = _nilpotent_null_vector(a)
     if null_vector is not None:
         return 0.0, null_vector
@@ -148,7 +152,7 @@ def power_iteration(matrix: np.ndarray, *, lam_rtol: float = LAMBDA_RTOL,
         if polish_left is None:
             if meets:
                 if diff == 0.0:
-                    return lam, v
+                    return math.ldexp(lam, exponent), v
                 polish_left = _POLISH_ITERATIONS
         else:
             polish_left -= 1
@@ -161,7 +165,8 @@ def power_iteration(matrix: np.ndarray, *, lam_rtol: float = LAMBDA_RTOL,
         v = w / norm_w
 
     if best is not None:
-        return best[1], best[2]
+        return math.ldexp(best[1], exponent), best[2]
+    res, lam = math.ldexp(res, exponent), math.ldexp(lam, exponent)
     raise ConvergenceError(
         f"power iteration did not converge within {max_iterations} iterations "
         f"(residual {res:.3e}, lambda {lam:.6e})",
@@ -191,7 +196,6 @@ def full_spectrum(sym: SymmetricMatrix) -> SpectralSummary:
     eigenvectors = np.array([_fix_sign(basis[:, k]) for k in order])
     iprs = 1.0 / np.sum(eigenvectors ** 4, axis=1)
     return SpectralSummary(
-        mode=MODE_SYMMETRIZED,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         iprs=iprs,
@@ -200,37 +204,6 @@ def full_spectrum(sym: SymmetricMatrix) -> SpectralSummary:
     )
 
 
-def perron_summary(snapshot: NetworkSnapshot) -> SpectralSummary:
-    """Single-pair summary for the directed matrix's dominant eigenvalue."""
-    lam, vector = leading_eigenpair(snapshot)
-    return SpectralSummary(
-        mode=MODE_DIRECTED,
-        eigenvalues=np.array([lam]),
-        eigenvectors=vector[np.newaxis, :],
-        iprs=np.array([ipr(vector)]),
-        lambda_max=lam,
-        market_mode=vector,
-    )
-
-
 def mean_ipr(summary: SpectralSummary) -> float:
     """Arithmetic mean IPR over all eigenvectors of a symmetrized spectrum."""
-    if summary.mode != MODE_SYMMETRIZED:
-        raise DataError("mean IPR needs the full symmetrized spectrum, "
-                        f"got mode {summary.mode!r}")
     return float(np.mean(summary.iprs))
-
-
-def summary_to_json(summary: SpectralSummary, period: str | None = None) -> dict:
-    payload: dict = {}
-    if period is not None:
-        payload["period"] = period
-    payload.update({
-        "mode": summary.mode,
-        "eigenvalues": [float(x) for x in summary.eigenvalues],
-        "iprs": [float(x) for x in summary.iprs],
-        "lambda_max": float(summary.lambda_max),
-        "market_mode": [float(x) for x in summary.market_mode],
-        "participation": [float(x) for x in participation_percent(summary.market_mode)],
-    })
-    return payload

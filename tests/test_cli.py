@@ -73,6 +73,14 @@ def test_timeseries_writes_and_is_byte_identical(flows_csv, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_workers_flag_is_accepted_but_hidden(flows_csv, tmp_path, capsys):
+    assert main(["timeseries", "--input", str(flows_csv), "--null-samples", "2",
+                 "--workers", "4", "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit):
+        main(["timeseries", "--help"])
+    assert "--workers" not in capsys.readouterr().out
+
+
 def test_timeseries_format_filter(flows_csv, tmp_path):
     out = tmp_path / "only_json"
     assert main(["timeseries", "--input", str(flows_csv), "--null-samples", "2",

@@ -68,6 +68,9 @@ def test_snapshot_invariants_reject_bad_matrices():
         NetworkSnapshot("2008-Q3", ("A", "B"), np.array([[0.0, -2.0], [3.0, 0.0]]))
     with pytest.raises(DataError):
         NetworkSnapshot("2008-Q3", ("B", "A"), np.zeros((2, 2)))
+    with pytest.raises(DataError, match="2008-Q3: total volume overflows"):
+        NetworkSnapshot("2008-Q3", ("A", "B", "C"),
+                        np.array([[0.0, 1e308, 1.5e308], [0.0] * 3, [0.0] * 3]))
 
 
 def test_symmetrize_examples():

@@ -6,6 +6,7 @@ import pytest
 
 from flowspectra import (
     ConfigError,
+    ConvergenceError,
     DataError,
     FlowRecord,
     FlowRecordSet,
@@ -13,6 +14,7 @@ from flowspectra import (
     MODE_WEIGHT_PERMUTE,
     PipelineConfig,
     analyze_period,
+    build_snapshot,
     config_from_sources,
     export,
     generate_synthetic_series,
@@ -77,6 +79,29 @@ def test_analyze_symmetrized_mode():
     assert result.lambda_max == pytest.approx(4.0, rel=1e-10)
 
 
+def test_analyze_tiny_amounts_keep_a_positive_radius():
+    records = parse_flow_csv(f"{HEADER}\n2008-Q3,A,B,1e-170\n2008-Q3,B,A,2e-170\n"
+                             "2008-Q3,B,C,3e-170\n2008-Q3,C,A,4e-170")
+    result = analyze_period(records, "2008-Q3", FAST)
+    weights = build_snapshot(records, "2008-Q3").weights
+    assert result.lambda_max == pytest.approx(
+        max(abs(np.linalg.eigvals(weights))), rel=1e-8)
+    assert result.null_stats.mean > 0
+
+
+def test_analyze_error_keeps_period_residual_and_iterations(monkeypatch):
+    import flowspectra.pipeline as pipeline_module
+
+    def stuck(snapshot):
+        raise ConvergenceError("stuck", residual=0.25, iterations=7)
+
+    monkeypatch.setattr(pipeline_module, "leading_eigenpair", stuck)
+    with pytest.raises(ConvergenceError, match="^2008-Q3: stuck$") as excinfo:
+        analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", FAST)
+    assert excinfo.value.residual == 0.25
+    assert excinfo.value.iterations == 7
+
+
 def test_timeseries_single_period():
     result = run_timeseries(parse_flow_csv(TWO_NODE), FAST)
     assert len(result.results) == 1
@@ -118,6 +143,15 @@ def test_timeseries_fails_only_when_nothing_succeeds():
         run_timeseries(all_zero, FAST)
 
 
+def test_timeseries_reports_overflowing_period_as_failure():
+    records = parse_flow_csv(f"{HEADER}\n2008-Q1,A,B,1e308\n2008-Q1,A,C,1.5e308\n"
+                             "2008-Q2,A,B,1\n2008-Q2,B,A,2")
+    result = run_timeseries(records, FAST)
+    assert result.periods == ("2008-Q2",)
+    assert [period for period, _ in result.failures] == ["2008-Q1"]
+    assert "total volume overflows" in result.failures[0][1]
+
+
 def test_timeseries_gap_is_finite_everywhere():
     records = generate_synthetic_series(3, 6, 20.0, 1.0, n_periods=4, seed=21,
                                         link_prob_start=0.3)
@@ -135,17 +169,6 @@ def test_degenerate_null_equality_case():
     result = analyze_period(parse_flow_csv(text), "2008-Q3", config)
     assert result.lambda_max >= result.null_stats.mean - 1e-9
     assert result.null_stats.std == 0.0
-
-
-def test_workers_do_not_change_numbers():
-    records = generate_synthetic_series(3, 5, 10.0, 1.0, n_periods=6, seed=2,
-                                        link_prob_start=0.2)
-    serial = run_timeseries(records, PipelineConfig(seed=1, null_samples=5, workers=1))
-    threaded = run_timeseries(records, PipelineConfig(seed=1, null_samples=5, workers=4))
-    assert [r.lambda_max for r in serial.results] == \
-           [r.lambda_max for r in threaded.results]
-    assert [r.null_stats.lambda_values for r in serial.results] == \
-           [r.null_stats.lambda_values for r in threaded.results]
 
 
 # --- configuration -----------------------------------------------------------

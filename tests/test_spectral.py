@@ -5,8 +5,6 @@ import pytest
 
 from flowspectra import (
     DataError,
-    MODE_DIRECTED,
-    MODE_SYMMETRIZED,
     NetworkSnapshot,
     SymmetricMatrix,
     full_spectrum,
@@ -14,9 +12,7 @@ from flowspectra import (
     leading_eigenpair,
     mean_ipr,
     participation_percent,
-    perron_summary,
     power_iteration,
-    summary_to_json,
 )
 
 
@@ -139,6 +135,16 @@ def test_scaling_invariance_of_leading_pair():
         assert np.max(np.abs(v_scaled - v)) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e150, 1e306])
+@pytest.mark.parametrize("matrix", [[[0, 1, 0], [0, 0, 2], [3, 0, 0]],
+                                    [[0, 3], [5, 0]]], ids=["3-cycle", "2x2"])
+def test_leading_pair_at_extreme_scales(matrix, scale):
+    a = np.asarray(matrix, dtype=float)
+    lam, v = power_iteration(a * scale)
+    assert lam == pytest.approx(max(abs(np.linalg.eigvals(a * scale))), rel=1e-8)
+    assert np.max(np.abs(v - power_iteration(a)[1])) < 1e-9
+
+
 def test_perron_vector_is_nonnegative():
     rng = np.random.default_rng(29)
     for _ in range(50):
@@ -165,7 +171,6 @@ def test_power_iteration_is_deterministic():
 def test_full_spectrum_identity():
     summary = full_spectrum(symmetric_of(np.eye(3)))
     assert summary.eigenvalues.tolist() == [1.0, 1.0, 1.0]
-    assert summary.mode == MODE_SYMMETRIZED
 
 
 def test_full_spectrum_two_node_exchange():
@@ -239,29 +244,3 @@ def test_mean_ipr_bounds_over_random_draws():
         m = rng.random((5, 5))
         summary = full_spectrum(symmetric_of((m + m.T) / 2))
         assert 1.0 - 1e-9 <= mean_ipr(summary) <= 5.0 + 1e-9
-
-
-def test_mean_ipr_rejects_directed_mode():
-    summary = perron_summary(snapshot_of([[0, 1], [1, 0]]))
-    assert summary.mode == MODE_DIRECTED
-    with pytest.raises(DataError, match="symmetrized"):
-        mean_ipr(summary)
-
-
-# --- summaries -------------------------------------------------------------------
-
-
-def test_perron_summary_fields_are_consistent():
-    summary = perron_summary(snapshot_of([[0, 3], [5, 0]]))
-    assert summary.lambda_max == pytest.approx(math.sqrt(15), rel=1e-12)
-    assert summary.iprs[0] == pytest.approx(ipr(summary.market_mode), rel=1e-12)
-    assert summary.eigenvalues.shape == (1,)
-
-
-def test_summary_json_payload():
-    summary = perron_summary(snapshot_of([[0, 3], [5, 0]]))
-    payload = summary_to_json(summary, period="2008-Q3")
-    assert payload["period"] == "2008-Q3"
-    assert payload["mode"] == MODE_DIRECTED
-    assert payload["lambda_max"] == pytest.approx(math.sqrt(15))
-    assert sum(payload["participation"]) == pytest.approx(100.0, abs=1e-9)
