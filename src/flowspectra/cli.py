@@ -67,9 +67,6 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True) -> No
                      help="matrix used for lambda_max and the market mode")
     sub.add_argument("--volume-mode", choices=VOLUME_MODES, default=None,
                      help="volume share counts lending, borrowing, or both")
-    # Accepted and ignored: periods always run serially, but existing
-    # scripts still pass this flag.
-    sub.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     sub.add_argument("--normalize-lambda", action="store_true", default=None,
                      help="also emit lambda_max divided by total volume")
     sub.add_argument("--include-lambda-values", action="store_true", default=None,
@@ -91,6 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(timeseries)
     timeseries.add_argument("--format", choices=EXPORT_FORMATS, default=None,
                             help="restrict outputs to one format (default: both)")
+    # Accepted and ignored: periods always run serially, but existing
+    # scripts still pass this flag.
+    timeseries.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
 
     shuffle = commands.add_parser("shuffle", help="emit one shuffled surrogate")
     _add_common(shuffle)
@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dendro = commands.add_parser("dendrogram",
                                  help="cluster one period's symmetrized matrix")
-    _add_common(dendro)
+    dendro.add_argument("--input", required=True, help="flow CSV file")
+    dendro.add_argument("--out", help="output directory")
     dendro.add_argument("--period", required=True)
     dendro.add_argument("--linkage", choices=LINKAGES, default="average")
     dendro.add_argument("--format", choices=("json", "newick"), default="json")

@@ -9,7 +9,6 @@ cluster-id pair), so the same matrix always yields the same dendrogram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -74,10 +73,10 @@ def agglomerate(distances: SymmetricMatrix | np.ndarray,
                 linkage: str = "average") -> Dendrogram:
     """Agglomerative clustering of a distance matrix.
 
-    At each step the pair of clusters with minimal linkage distance merges;
-    ties break on the smallest (id, id) pair. Average linkage updates
-    distances as size-weighted means (UPGMA), single as minima, complete as
-    maxima. Merge heights never decrease.
+    Only the upper triangle is read, and it must be finite. The pair of
+    clusters at minimal linkage distance merges first; ties go to the
+    smallest (id, id) pair. Average linkage updates distances as size-weighted
+    means (UPGMA), single as minima, complete as maxima. Heights never decrease.
     """
     if linkage not in LINKAGES:
         raise DataError(f"unknown linkage {linkage!r} (expected one of {LINKAGES})")
@@ -86,44 +85,41 @@ def agglomerate(distances: SymmetricMatrix | np.ndarray,
     if values.shape != (n, n) or n < 2:
         raise DataError("need a square distance matrix over at least 2 items")
 
-    dist: dict[tuple[int, int], float] = {
-        (i, j): float(values[i, j]) for i, j in combinations(range(n), 2)
-    }
-    sizes = {i: 1 for i in range(n)}
-    min_leaf = {i: i for i in range(n)}
-    active = list(range(n))
+    # One row and column per cluster id. +inf marks the diagonal, retired ids
+    # and ids not formed yet, so the minimum is always over active pairs.
+    m = 2 * n - 1
+    dist = np.full((m, m), np.inf)
+    rows, cols = np.triu_indices(n, 1)
+    dist[rows, cols] = dist[cols, rows] = values[rows, cols]
+    if not np.isfinite(dist[rows, cols]).all():
+        raise DataError("distances must be finite")
+    sizes = [1] * n
+    min_leaf = list(range(n))
     merges: list[Merge] = []
     last_height = -np.inf
 
-    for step in range(n - 1):
-        a, b = min(combinations(active, 2), key=lambda pair: (dist[pair], pair))
-        height = dist[(a, b)]
-        if height < last_height:
-            raise DataError("linkage produced decreasing merge heights")
+    for new_id in range(n, m):
+        # Symmetric, so the row-major first minimum is the smallest pair, a < b.
+        a, b = divmod(int(np.argmin(dist)), m)
+        height = float(dist[a, b])
+        if not last_height <= height < np.inf:
+            raise DataError(f"linkage produced a decreasing or non-finite merge height ({height!r})")
         last_height = height
-        new_id = n + step
-
-        for x in active:
-            if x in (a, b):
-                continue
-            d_ax = dist[(min(a, x), max(a, x))]
-            d_bx = dist[(min(b, x), max(b, x))]
-            if linkage == "average":
-                merged = (sizes[a] * d_ax + sizes[b] * d_bx) / (sizes[a] + sizes[b])
-            elif linkage == "single":
-                merged = min(d_ax, d_bx)
-            else:
-                merged = max(d_ax, d_bx)
-            dist[(x, new_id)] = merged
+        if linkage == "average":
+            row = (sizes[a] * dist[a] + sizes[b] * dist[b]) / (sizes[a] + sizes[b])
+        elif linkage == "single":
+            row = np.minimum(dist[a], dist[b])
+        else:
+            row = np.maximum(dist[a], dist[b])
+        dist[new_id] = dist[:, new_id] = row
+        dist[[a, b]] = dist[:, [a, b]] = np.inf
 
         # The child whose subtree holds the smaller leaf index goes left, so
         # an in-order traversal keeps early entities early.
         left, right = (a, b) if min_leaf[a] <= min_leaf[b] else (b, a)
         merges.append(Merge(left=left, right=right, height=height, id=new_id))
-        sizes[new_id] = sizes[a] + sizes[b]
-        min_leaf[new_id] = min(min_leaf[a], min_leaf[b])
-        active = [x for x in active if x not in (a, b)]
-        active.append(new_id)
+        sizes.append(sizes[a] + sizes[b])
+        min_leaf.append(min(min_leaf[a], min_leaf[b]))
 
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError
+from .errors import DataError, FlowspectraError
 from .ingest import derive_seed
-from .network import NetworkSnapshot
-from .spectral import leading_eigenpair
+from .network import NetworkSnapshot, symmetrize
+from .spectral import MODE_DIRECTED, MODE_SYMMETRIZED, SPECTRUM_MODES, full_spectrum, leading_eigenpair
 
 MODE_LINK_SHUFFLE = "link-shuffle"
 MODE_WEIGHT_PERMUTE = "weight-permute"
@@ -93,25 +93,30 @@ def shuffle_snapshot(snapshot: NetworkSnapshot, seed: int,
 
 
 def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
-                  mode: str = MODE_LINK_SHUFFLE) -> NullEnsembleStats:
+                  mode: str = MODE_LINK_SHUFFLE, *,
+                  spectrum_mode: str = MODE_DIRECTED) -> NullEnsembleStats:
     """Null distribution of the leading eigenvalue over shuffled replicas.
 
     Replica k shuffles with a sub-seed derived from (seed, k), so replicas
-    are independent, order-insensitive, and replayable.
+    are independent, order-insensitive, and replayable. In symmetrized
+    spectrum mode the top eigenvalue of each symmetrized replica is used.
     """
     _check_mode(mode)
+    if spectrum_mode not in SPECTRUM_MODES:
+        raise DataError(f"unknown spectrum mode {spectrum_mode!r}")
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
     lambdas: list[float] = []
     for k in range(n_samples):
         replica = shuffle_snapshot(snapshot, derive_seed(seed, k), mode)
         try:
-            lam, _ = leading_eigenpair(replica)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"replica {k}: {exc}", residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
+            if spectrum_mode == MODE_SYMMETRIZED:
+                lam = full_spectrum(symmetrize(replica)).lambda_max
+            else:
+                lam, _ = leading_eigenpair(replica)
+        except FlowspectraError as exc:  # keeps residual and iterations
+            exc.args = (f"replica {k}: {exc}",)
+            raise
         lambdas.append(lam)
 
     ordered = np.sort(np.asarray(lambdas))

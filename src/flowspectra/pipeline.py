@@ -157,7 +157,8 @@ def analyze_period(records: FlowRecordSet, period: str,
             lam, market_mode = summary.lambda_max, summary.market_mode
         else:
             lam, market_mode = lam_directed, mode_directed
-        stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode)
+        stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode,
+                              spectrum_mode=config.spectrum_mode)
         shares = volume_share(snapshot, config.volume_mode)
     except FlowspectraError as exc:
         # Prefix in place so subclass attributes (residual, iterations) survive.

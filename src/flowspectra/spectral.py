@@ -92,9 +92,7 @@ def _nilpotent_null_vector(a: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def power_iteration(matrix: np.ndarray, *, lam_rtol: float = LAMBDA_RTOL,
-                    residual_rtol: float = RESIDUAL_RTOL,
-                    max_iterations: int = MAX_ITERATIONS) -> tuple[float, np.ndarray]:
+def power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a nonnegative square matrix.
 
     Iterates with a diagonal shift of half the largest row sum, which leaves
@@ -103,7 +101,8 @@ def power_iteration(matrix: np.ndarray, *, lam_rtol: float = LAMBDA_RTOL,
     vector is the deterministic uniform 1/sqrt(n).
 
     Returns (spectral radius, nonnegative unit eigenvector); the residual of
-    the returned pair satisfies ||A v - lambda v|| <= residual_rtol * lambda.
+    the returned pair satisfies ||A v - lambda v|| <= RESIDUAL_RTOL * lambda.
+    A radius beyond the float range raises DataError.
     """
     a = np.ascontiguousarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -136,7 +135,7 @@ def power_iteration(matrix: np.ndarray, *, lam_rtol: float = LAMBDA_RTOL,
     polish_left: int | None = None
     best: tuple[float, float, np.ndarray] | None = None
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         w = b @ v
         mu = float(v @ w)
         lam = mu - shift
@@ -146,31 +145,27 @@ def power_iteration(matrix: np.ndarray, *, lam_rtol: float = LAMBDA_RTOL,
         diff = abs(lam - prev_lam)
         prev_lam = lam
 
-        meets = diff <= lam_rtol * abs(lam) and res <= residual_rtol * lam
+        meets = diff <= LAMBDA_RTOL * abs(lam) and res <= RESIDUAL_RTOL * lam
         if meets and (best is None or res < best[0]):
             best = (res, lam, v)
-        if polish_left is None:
-            if meets:
-                if diff == 0.0:
-                    return math.ldexp(lam, exponent), v
-                polish_left = _POLISH_ITERATIONS
-        else:
+        if meets and polish_left is None:
+            polish_left = _POLISH_ITERATIONS
+        elif polish_left is not None:
             polish_left -= 1
-            if diff == 0.0 or polish_left <= 0:
-                break
-
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:  # unreachable once the shift is positive; defensive
-            return 0.0, v
-        v = w / norm_w
+        if polish_left is not None and (diff == 0.0 or polish_left <= 0):
+            break
+        v = w / float(np.linalg.norm(w))  # ||B v|| >= shift > 0 for unit v >= 0
 
     if best is not None:
-        return math.ldexp(best[1], exponent), best[2]
+        try:
+            return math.ldexp(best[1], exponent), best[2]
+        except OverflowError:
+            raise DataError("spectral radius exceeds the float range") from None
     res, lam = math.ldexp(res, exponent), math.ldexp(lam, exponent)
     raise ConvergenceError(
-        f"power iteration did not converge within {max_iterations} iterations "
+        f"power iteration did not converge within {MAX_ITERATIONS} iterations "
         f"(residual {res:.3e}, lambda {lam:.6e})",
-        residual=res, iterations=max_iterations,
+        residual=res, iterations=MAX_ITERATIONS,
     )
 
 

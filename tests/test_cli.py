@@ -59,6 +59,13 @@ def test_bad_usage_is_config_error():
     assert main(["bogus-command"]) == 3
 
 
+def test_flags_a_command_ignores_are_rejected(flows_csv):
+    assert main(["dendrogram", "--input", str(flows_csv), "--period", "2008-Q3",
+                 "--null-samples", "5"]) == 3
+    assert main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
+                 "--workers", "1"]) == 3
+
+
 def test_timeseries_requires_out(flows_csv):
     assert main(["timeseries", "--input", str(flows_csv)]) == 3
 

@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from flowspectra import (
     DataError,
+    Dendrogram,
+    Merge,
     SymmetricMatrix,
     agglomerate,
     dendrogram_to_json,
@@ -150,3 +154,99 @@ def test_dendrogram_json_payload():
     assert payload["leaf_order"] == [0, 1, 2]
     assert payload["ordered_entities"] == ["A", "B", "C"]
     assert payload["merges"][0] == {"left": 0, "right": 1, "height": 0.1, "id": 3}
+
+
+def reference_agglomerate(distances, linkage="average"):
+    """The pair-dict implementation that agglomerate replaced, kept verbatim
+    (minus argument checks) as the reference for exact merge equality."""
+    values = np.asarray(distances, dtype=float)
+    n = values.shape[0]
+
+    dist: dict[tuple[int, int], float] = {
+        (i, j): float(values[i, j]) for i, j in combinations(range(n), 2)
+    }
+    sizes = {i: 1 for i in range(n)}
+    min_leaf = {i: i for i in range(n)}
+    active = list(range(n))
+    merges: list[Merge] = []
+    last_height = -np.inf
+
+    for step in range(n - 1):
+        a, b = min(combinations(active, 2), key=lambda pair: (dist[pair], pair))
+        height = dist[(a, b)]
+        if height < last_height:
+            raise DataError("linkage produced decreasing merge heights")
+        last_height = height
+        new_id = n + step
+
+        for x in active:
+            if x in (a, b):
+                continue
+            d_ax = dist[(min(a, x), max(a, x))]
+            d_bx = dist[(min(b, x), max(b, x))]
+            if linkage == "average":
+                merged = (sizes[a] * d_ax + sizes[b] * d_bx) / (sizes[a] + sizes[b])
+            elif linkage == "single":
+                merged = min(d_ax, d_bx)
+            else:
+                merged = max(d_ax, d_bx)
+            dist[(x, new_id)] = merged
+
+        left, right = (a, b) if min_leaf[a] <= min_leaf[b] else (b, a)
+        merges.append(Merge(left=left, right=right, height=height, id=new_id))
+        sizes[new_id] = sizes[a] + sizes[b]
+        min_leaf[new_id] = min(min_leaf[a], min_leaf[b])
+        active = [x for x in active if x not in (a, b)]
+        active.append(new_id)
+
+    return Dendrogram(n_leaves=n, merges=tuple(merges))
+
+
+def _symmetric(m):
+    upper = np.triu(m, 1)
+    return upper + upper.T
+
+
+INPUT_KINDS = {
+    "uniform": lambda rng, n: _symmetric(rng.random((n, n))),
+    "ties": lambda rng, n: _symmetric(rng.choice([0.0, 0.5, 1.0], size=(n, n))),
+    "one-decimal": lambda rng, n: _symmetric(np.round(rng.random((n, n)), 1)),
+    "asymmetric": lambda rng, n: rng.random((n, n)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+@pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+def test_agglomerate_matches_pair_dict_reference(kind, linkage):
+    rng = np.random.default_rng(1234)
+    for n in range(2, 25):
+        for _ in range(3):
+            distances = INPUT_KINDS[kind](rng, n)
+            got = agglomerate(distances, linkage).merges
+            want = reference_agglomerate(distances, linkage).merges
+            assert [(m.left, m.right, m.height, m.id) for m in got] == \
+                   [(m.left, m.right, m.height, m.id) for m in want]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_agglomerate_rejects_non_finite_distances(bad):
+    distances = THREE_NODE.copy()
+    distances[0, 2] = bad
+    with pytest.raises(DataError, match="finite"):
+        agglomerate(distances)
+
+
+def test_agglomerate_reads_only_the_upper_triangle():
+    distances = THREE_NODE.copy()
+    distances[2, 0] = np.nan
+    np.fill_diagonal(distances, np.inf)
+    assert agglomerate(distances) == agglomerate(THREE_NODE)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_average_linkage_overflow_raises_instead_of_merging_a_retired_id():
+    distances = np.full((4, 4), 1e308)
+    np.fill_diagonal(distances, 0.0)
+    with pytest.raises(DataError, match="non-finite merge height"):
+        agglomerate(distances, "average")
+    assert agglomerate(distances, "single").merges[-1].height == 1e308

@@ -132,6 +132,9 @@ def test_ensemble_stats_recomputable_from_values():
 def test_ensemble_rejects_bad_sample_count():
     with pytest.raises(DataError, match="n_samples"):
         null_ensemble(snapshot_of([[0.0, 1.0], [1.0, 0.0]]), 0, seed=1)
+    with pytest.raises(DataError, match="spectrum mode"):
+        null_ensemble(snapshot_of([[0.0, 1.0], [1.0, 0.0]]), 1, seed=1,
+                      spectrum_mode="bogus")
 
 
 def test_core_periphery_structure_beats_null():

@@ -77,6 +77,10 @@ def test_analyze_symmetrized_mode():
     result = analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", config)
     # symmetrized matrix [[0,4],[4,0]] has top eigenvalue 4
     assert result.lambda_max == pytest.approx(4.0, rel=1e-10)
+    # Every two-node replica symmetrizes to the same matrix, so the null
+    # holds the same eigenvalue and the gap vanishes.
+    assert result.null_stats.mean == pytest.approx(4.0, rel=1e-10)
+    assert abs(result.gap) <= 1e-12 * result.lambda_max
 
 
 def test_analyze_tiny_amounts_keep_a_positive_radius():
@@ -100,6 +104,25 @@ def test_analyze_error_keeps_period_residual_and_iterations(monkeypatch):
         analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", FAST)
     assert excinfo.value.residual == 0.25
     assert excinfo.value.iterations == 7
+
+
+def test_replica_error_keeps_period_replica_residual_and_iterations(monkeypatch):
+    import flowspectra.nullmodel as nullmodel_module
+
+    real = nullmodel_module.leading_eigenpair
+    calls = []
+
+    def stuck_on_replica_3(snapshot):
+        calls.append(snapshot)
+        if len(calls) == 4:
+            raise ConvergenceError("stuck", residual=0.5, iterations=11)
+        return real(snapshot)
+
+    monkeypatch.setattr(nullmodel_module, "leading_eigenpair", stuck_on_replica_3)
+    with pytest.raises(ConvergenceError, match="^2008-Q3: replica 3: stuck$") as excinfo:
+        analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", FAST)
+    assert excinfo.value.residual == 0.5
+    assert excinfo.value.iterations == 11
 
 
 def test_timeseries_single_period():

@@ -117,6 +117,13 @@ def test_power_iteration_rejects_negative_entries():
         power_iteration(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
+def test_radius_beyond_float_range_is_data_error():
+    a = np.full((31, 31), 1e307)
+    np.fill_diagonal(a, 0.0)
+    with pytest.raises(DataError, match="exceeds the float range"):
+        power_iteration(a)
+
+
 def test_nilpotent_matrix_has_zero_radius_and_exact_pair():
     lam, v = power_iteration(np.array([[0.0, 7.0], [0.0, 0.0]]))
     assert lam == 0.0
