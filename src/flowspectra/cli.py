@@ -54,15 +54,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
+                null_mode: bool = True, analysis: bool = True) -> None:
+    """Add --input, --config, --seed and --out, and the config flags that the
+    subcommand reads: --null-mode, and the analysis flags."""
     if needs_input:
         sub.add_argument("--input", required=True, help="flow CSV file")
     sub.add_argument("--config", help="JSON config file (CLI flags override it)")
     sub.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    sub.add_argument("--out", help="output directory")
+    if null_mode:
+        sub.add_argument("--null-mode", choices=SHUFFLE_MODES, default=None,
+                         help="null model: reassign links or permute weights")
+    if not analysis:
+        return
     sub.add_argument("--null-samples", type=int, default=None,
                      help="shuffled replicas per period (default 100)")
-    sub.add_argument("--null-mode", choices=SHUFFLE_MODES, default=None,
-                     help="null model: reassign links or permute weights")
     sub.add_argument("--spectrum-mode", choices=SPECTRUM_MODES, default=None,
                      help="matrix used for lambda_max and the market mode")
     sub.add_argument("--volume-mode", choices=VOLUME_MODES, default=None,
@@ -71,7 +78,6 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True) -> No
                      help="also emit lambda_max divided by total volume")
     sub.add_argument("--include-lambda-values", action="store_true", default=None,
                      help="include raw null lambda values in JSON exports")
-    sub.add_argument("--out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     timeseries.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
 
     shuffle = commands.add_parser("shuffle", help="emit one shuffled surrogate")
-    _add_common(shuffle)
+    _add_common(shuffle, analysis=False)
     shuffle.add_argument("--period", required=True)
     shuffle.add_argument("--format", choices=("json", "dot", "csv"), default="json")
 
@@ -106,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     dendro.add_argument("--format", choices=("json", "newick"), default="json")
 
     synth = commands.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(synth, needs_input=False)
+    _add_common(synth, needs_input=False, null_mode=False, analysis=False)
     synth.add_argument("--n-core", type=int, default=6)
     synth.add_argument("--n-periphery", type=int, default=25)
     synth.add_argument("--core-scale", type=float, default=100.0)
@@ -134,15 +140,9 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-    overrides = {
-        "seed": args.seed,
-        "null_samples": args.null_samples,
-        "null_mode": args.null_mode,
-        "spectrum_mode": args.spectrum_mode,
-        "volume_mode": args.volume_mode,
-        "normalize_lambda": args.normalize_lambda,
-        "include_lambda_values": args.include_lambda_values,
-    }
+    # Each config key's flag has the key as its dest; a subcommand without
+    # the flag leaves the key to the config file or the default.
+    overrides = {key: getattr(args, key, None) for key in PipelineConfig.__dataclass_fields__}
     return config_from_sources(file_values, overrides)
 
 

@@ -106,7 +106,9 @@ def agglomerate(distances: SymmetricMatrix | np.ndarray,
             raise DataError(f"linkage produced a decreasing or non-finite merge height ({height!r})")
         last_height = height
         if linkage == "average":
-            row = (sizes[a] * dist[a] + sizes[b] * dist[b]) / (sizes[a] + sizes[b])
+            # An overflow gives inf, which the height check of a later merge rejects.
+            with np.errstate(over="ignore"):
+                row = (sizes[a] * dist[a] + sizes[b] * dist[b]) / (sizes[a] + sizes[b])
         elif linkage == "single":
             row = np.minimum(dist[a], dist[b])
         else:

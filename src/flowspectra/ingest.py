@@ -12,10 +12,10 @@ import io
 import json
 import math
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,76 +29,112 @@ FLOW_CSV_HEADER = ("period", "reporter", "counterparty", "amount")
 DEFAULT_SYNTHETIC_PERIOD = "2000-Q1"
 
 
-def _check_period(label: str) -> str:
+def _check_period(label: str) -> None:
     if not PERIOD_PATTERN.match(label):
         raise DataError(f"malformed period label {label!r} (expected YYYY-Qn)")
-    return label
 
 
-def _check_entity(code: str, role: str) -> str:
-    if not ENTITY_PATTERN.match(code):
-        raise DataError(f"malformed {role} entity code {code!r}")
-    return code
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One bilateral claim: `reporter` lent `amount` to `counterparty` in `period`.
-
-    Amounts are nonnegative reals in millions of a common currency unit.
-    Self-loops (reporter == counterparty) are rejected.
-    """
+class FlowRecord(NamedTuple):
+    """One row of a FlowRecordSet: `reporter` lent `amount` to `counterparty`."""
 
     period: str
     reporter: str
     counterparty: str
     amount: float
 
-    def __post_init__(self) -> None:
-        _check_period(self.period)
-        _check_entity(self.reporter, "reporter")
-        _check_entity(self.counterparty, "counterparty")
-        if self.reporter == self.counterparty:
-            raise DataError(f"reporter equals counterparty ({self.reporter!r})")
-        amount = float(self.amount)
-        if not math.isfinite(amount) or amount < 0:
-            raise DataError(f"negative or non-numeric amount {self.amount!r}")
-        object.__setattr__(self, "amount", amount)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowRecordSet:
-    """An ordered collection of flow records with derived rosters.
+    """Flow records as four columns in input row order.
 
-    `periods` and `entities` are computed from the records: entities is the
-    union of reporter and counterparty codes, periods the sorted distinct
-    quarter labels (lexicographic order of YYYY-Qn is chronological).
+    `period_index` indexes `periods`, the sorted distinct quarter labels
+    (lexicographic order of YYYY-Qn is chronological); `reporter_index` and
+    `counterparty_index` index `entities`, the sorted union of both codes.
+    `amounts` are finite, nonnegative reals in millions of a common currency
+    unit, and no record is a self-loop.
     """
 
-    records: tuple[FlowRecord, ...]
+    periods: tuple[str, ...]
+    entities: tuple[str, ...]
+    period_index: np.ndarray
+    reporter_index: np.ndarray
+    counterparty_index: np.ndarray
+    amounts: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence]) -> FlowRecordSet:
+        """Validate (period, reporter, counterparty, amount) rows; row 1 is the first."""
+        return _validate(enumerate(rows, start=1))
 
-    @cached_property
-    def periods(self) -> tuple[str, ...]:
-        return tuple(sorted({r.period for r in self.records}))
+    def rows(self) -> tuple[FlowRecord, ...]:
+        """The records in input order, built on demand."""
+        return tuple(map(FlowRecord._make, self._fields()))
 
-    @cached_property
-    def entities(self) -> tuple[str, ...]:
-        codes = {r.reporter for r in self.records}
-        codes.update(r.counterparty for r in self.records)
-        return tuple(sorted(codes))
-
-    @cached_property
-    def records_by_period(self) -> Mapping[str, tuple[FlowRecord, ...]]:
-        grouped: dict[str, list[FlowRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.period, []).append(record)
-        return {period: tuple(group) for period, group in grouped.items()}
+    def _fields(self) -> Iterator[tuple[str, str, str, float]]:
+        periods, entities = self.periods, self.entities
+        for p, r, c, amount in zip(self.period_index.tolist(), self.reporter_index.tolist(),
+                                   self.counterparty_index.tolist(), self.amounts.tolist()):
+            yield periods[p], entities[r], entities[c], amount
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.amounts)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FlowRecordSet) and self.rows() == other.rows()
+
+
+def _intern(ids: dict[str, int], code: str, pattern: re.Pattern, row_no: int, message: str) -> int:
+    index = ids.get(code)
+    if index is None:
+        if not pattern.match(code):
+            raise DataError(f"row {row_no}: {message.format(code)}")
+        index = ids[code] = len(ids)
+    return index
+
+
+def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
+    """Build the columns from numbered rows: the one validator of records.
+
+    Per row: field count, amount parse, period, reporter, counterparty,
+    self-loop, then sign and finiteness of the amount; the first failure
+    raises with its row number. Codes are trimmed and uppercased, and each
+    distinct code is matched against its pattern once."""
+    period_ids: dict[str, int] = {}
+    entity_ids: dict[str, int] = {}
+    keys: list[tuple[int, int, int]] = []
+    amounts: list[float] = []
+    for row_no, row in numbered_rows:
+        if len(row) != 4:
+            raise DataError(f"row {row_no}: expected 4 fields, got {len(row)}")
+        period = row[0].strip()
+        reporter = row[1].strip().upper()
+        counterparty = row[2].strip().upper()
+        try:
+            amount = float(row[3])
+        except ValueError:
+            raise DataError(f"row {row_no}: negative or non-numeric amount "
+                            f"{row[3].strip()!r}") from None
+        p = _intern(period_ids, period, PERIOD_PATTERN, row_no,
+                    "malformed period label {!r} (expected YYYY-Qn)")
+        r = _intern(entity_ids, reporter, ENTITY_PATTERN, row_no,
+                    "malformed reporter entity code {!r}")
+        c = _intern(entity_ids, counterparty, ENTITY_PATTERN, row_no,
+                    "malformed counterparty entity code {!r}")
+        if r == c:
+            raise DataError(f"row {row_no}: reporter equals counterparty ({reporter!r})")
+        if not math.isfinite(amount) or amount < 0:
+            raise DataError(f"row {row_no}: negative or non-numeric amount {amount!r}")
+        keys.append((p, r, c))
+        amounts.append(amount)
+
+    periods, entities = tuple(sorted(period_ids)), tuple(sorted(entity_ids))
+    # Each list maps a sorted position to a first-seen index; argsort inverts it.
+    period_position = np.argsort([period_ids[code] for code in periods])
+    entity_position = np.argsort([entity_ids[code] for code in entities])
+    index = np.array(keys, dtype=np.intp).reshape(-1, 3)
+    return FlowRecordSet(periods, entities, period_position[index[:, 0]],
+                         entity_position[index[:, 1]], entity_position[index[:, 2]],
+                         np.array(amounts, dtype=float))
 
 
 def parse_flow_csv(source: str | Iterable[str]) -> FlowRecordSet:
@@ -106,7 +142,7 @@ def parse_flow_csv(source: str | Iterable[str]) -> FlowRecordSet:
 
     Expects the header ``period,reporter,counterparty,amount``; entity codes
     are trimmed and uppercased, row order is preserved. Errors carry the
-    1-based row number (the header is row 1).
+    1-based row number (the header is row 1); blank lines count as rows.
     """
     lines: Iterable[str] = io.StringIO(source) if isinstance(source, str) else source
     reader = csv.reader(lines)
@@ -114,34 +150,13 @@ def parse_flow_csv(source: str | Iterable[str]) -> FlowRecordSet:
         header = next(reader)
     except StopIteration:
         raise DataError("row 1: missing header") from None
-    names = tuple(cell.strip().lstrip("﻿") for cell in header)
+    names = tuple(cell.strip().lstrip("\ufeff") for cell in header)
     if names != FLOW_CSV_HEADER:
         missing = [c for c in FLOW_CSV_HEADER if c not in names]
         if missing:
             raise DataError(f"row 1: missing column(s) {', '.join(missing)}")
         raise DataError(f"row 1: expected header {','.join(FLOW_CSV_HEADER)}")
-
-    records: list[FlowRecord] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataError(f"row {row_no}: expected 4 fields, got {len(row)}")
-        period = row[0].strip()
-        reporter = row[1].strip().upper()
-        counterparty = row[2].strip().upper()
-        amount_text = row[3].strip()
-        try:
-            amount = float(amount_text)
-        except ValueError:
-            raise DataError(
-                f"row {row_no}: negative or non-numeric amount {amount_text!r}"
-            ) from None
-        try:
-            records.append(FlowRecord(period, reporter, counterparty, amount))
-        except DataError as exc:
-            raise DataError(f"row {row_no}: {exc}") from None
-    return FlowRecordSet(tuple(records))
+    return _validate((row_no, row) for row_no, row in enumerate(reader, start=2) if row)
 
 
 def parse_flow_file(path: str | Path) -> FlowRecordSet:
@@ -155,7 +170,8 @@ def serialize_flow_csv(records: FlowRecordSet) -> str:
     """
     lines = [",".join(FLOW_CSV_HEADER)]
     lines.extend(
-        f"{r.period},{r.reporter},{r.counterparty},{r.amount!r}" for r in records.records
+        f"{period},{reporter},{counterparty},{amount!r}"
+        for period, reporter, counterparty, amount in records._fields()
     )
     return "\n".join(lines) + "\n"
 
@@ -268,8 +284,7 @@ def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
     required = {mapping.period, mapping.reporter, mapping.counterparty, mapping.value}
     required.update(mapping.filters)
 
-    totals: dict[tuple[str, str, str], float] = {}
-    order: list[tuple[str, str, str]] = []
+    totals: dict[tuple[str, str, str], float] = {}  # in first-seen order
     filtered = 0
     reasons: dict[str, int] = {}
 
@@ -304,51 +319,36 @@ def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
             drop("self-loop")
             continue
 
+        # Numbers take the text path too: str() of a float round-trips.
         raw_value = row.get(mapping.value)
-        if raw_value is None:
+        text = "" if raw_value is None else str(raw_value).strip()
+        if text.upper() in _SUPPRESSED_VALUES:
             drop("missing-value")
             continue
-        if isinstance(raw_value, (int, float)):
-            value = float(raw_value)
-            if not math.isfinite(value):
-                drop("missing-value")
-                continue
-        else:
-            text = str(raw_value).strip()
-            if text.upper() in _SUPPRESSED_VALUES:
-                drop("missing-value")
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                drop("non-numeric-value")
-                continue
-            if not math.isfinite(value):
-                drop("missing-value")
-                continue
+        try:
+            value = float(text)
+        except ValueError:
+            drop("non-numeric-value")
+            continue
+        if not math.isfinite(value):
+            drop("missing-value")
+            continue
         if value < 0:
             drop("negative-value")
             continue
 
         key = (period, reporter, counterparty)
-        if key not in totals:
-            totals[key] = 0.0
-            order.append(key)
-        totals[key] += value
+        totals[key] = totals.get(key, 0.0) + value
 
-    if not order:
+    if not totals:
         raise DataError("no rows survived filtering and conversion")
 
-    records = tuple(
-        FlowRecord(period, reporter, counterparty, totals[(period, reporter, counterparty)])
-        for period, reporter, counterparty in order
-    )
-    dropped = sum(reasons.values())
+    records = FlowRecordSet.from_rows((*key, total) for key, total in totals.items())
     return BisConversion(
-        records=FlowRecordSet(records),
+        records=records,
         converted=len(records),
         filtered=filtered,
-        dropped=dropped,
+        dropped=sum(reasons.values()),
         drop_reasons=reasons,
     )
 
@@ -414,6 +414,13 @@ def generate_synthetic(n_core: int, n_periphery: int, core_weight_scale: float,
     ordered pairs are linked independently with probability `link_prob_pp`.
     The same seed reproduces the output bit for bit.
     """
+    return FlowRecordSet.from_rows(_synthetic_rows(n_core, n_periphery, core_weight_scale,
+                                                   periphery_weight_scale, link_prob_pp, seed, period))
+
+
+def _synthetic_rows(n_core: int, n_periphery: int, core_weight_scale: float,
+                    periphery_weight_scale: float, link_prob_pp: float,
+                    seed: int, period: str) -> list[tuple[str, str, str, float]]:
     _check_synthetic_args(n_core, n_periphery, core_weight_scale,
                           periphery_weight_scale, link_prob_pp)
     _check_period(period)
@@ -422,24 +429,20 @@ def generate_synthetic(n_core: int, n_periphery: int, core_weight_scale: float,
     rng = np.random.default_rng(seed)
     cores, periphery = _synthetic_entity_names(n_core, n_periphery)
 
-    records: list[FlowRecord] = []
+    rows = []
     for src in cores:
         for dst in cores:
             if src != dst:
-                records.append(FlowRecord(period, src, dst,
-                                          _draw_weight(rng, core_weight_scale)))
+                rows.append((period, src, dst, _draw_weight(rng, core_weight_scale)))
     for core in cores:
         for peri in periphery:
-            records.append(FlowRecord(period, core, peri,
-                                      _draw_weight(rng, periphery_weight_scale)))
-            records.append(FlowRecord(period, peri, core,
-                                      _draw_weight(rng, periphery_weight_scale)))
+            rows.append((period, core, peri, _draw_weight(rng, periphery_weight_scale)))
+            rows.append((period, peri, core, _draw_weight(rng, periphery_weight_scale)))
     for src in periphery:
         for dst in periphery:
             if src != dst and rng.random() < link_prob_pp:
-                records.append(FlowRecord(period, src, dst,
-                                          _draw_weight(rng, periphery_weight_scale)))
-    return FlowRecordSet(tuple(records))
+                rows.append((period, src, dst, _draw_weight(rng, periphery_weight_scale)))
+    return rows
 
 
 def generate_synthetic_series(n_core: int, n_periphery: int, core_weight_scale: float,
@@ -458,7 +461,7 @@ def generate_synthetic_series(n_core: int, n_periphery: int, core_weight_scale: 
         raise DataError("n_periods must be at least 1")
     if link_prob_end is None:
         link_prob_end = link_prob_start
-    records: list[FlowRecord] = []
+    rows = []
     for index, period in enumerate(period_sequence(start_period, n_periods)):
         if n_periods == 1:
             prob = link_prob_start
@@ -466,10 +469,9 @@ def generate_synthetic_series(n_core: int, n_periphery: int, core_weight_scale: 
             frac = index / (n_periods - 1)
             prob = link_prob_start + (link_prob_end - link_prob_start) * frac
         sub_seed = derive_seed(seed, index)
-        chunk = generate_synthetic(n_core, n_periphery, core_weight_scale,
-                                   periphery_weight_scale, prob, sub_seed, period)
-        records.extend(chunk.records)
-    return FlowRecordSet(tuple(records))
+        rows.extend(_synthetic_rows(n_core, n_periphery, core_weight_scale,
+                                    periphery_weight_scale, prob, sub_seed, period))
+    return FlowRecordSet.from_rows(rows)
 
 
 def derive_seed(master_seed: int, index: int) -> int:

@@ -92,14 +92,14 @@ def build_snapshot(records: FlowRecordSet, period: str) -> NetworkSnapshot:
     record set; relations absent in this period are zero. Duplicate
     (reporter, counterparty) rows are summed.
     """
-    if period not in records.records_by_period:
+    if period not in records.periods:
         raise DataError(f"unknown period {period!r}")
-    entities = records.entities
-    index = {code: k for k, code in enumerate(entities)}
-    weights = np.zeros((len(entities), len(entities)))
-    for record in records.records_by_period[period]:
-        weights[index[record.reporter], index[record.counterparty]] += record.amount
-    return NetworkSnapshot(period, entities, weights)
+    rows = records.period_index == records.periods.index(period)
+    weights = np.zeros((len(records.entities),) * 2)
+    # Unbuffered and in row order, so duplicates sum as a Python loop would.
+    np.add.at(weights, (records.reporter_index[rows], records.counterparty_index[rows]),
+              records.amounts[rows])
+    return NetworkSnapshot(period, records.entities, weights)
 
 
 def symmetrize(snapshot: NetworkSnapshot) -> SymmetricMatrix:

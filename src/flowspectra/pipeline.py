@@ -146,17 +146,14 @@ def analyze_period(records: FlowRecordSet, period: str,
     snapshot = build_snapshot(records, period)
     if not snapshot.weights.any():
         raise DataError(f"{period}: network has no edges")
-    period_index = records.periods.index(period)
-    null_seed = derive_seed(config.seed, period_index)
+    null_seed = derive_seed(config.seed, records.periods.index(period))
 
     try:
-        lam_directed, mode_directed = leading_eigenpair(snapshot)
-        sym = symmetrize(snapshot)
-        summary = full_spectrum(sym)
+        summary = full_spectrum(symmetrize(snapshot))
         if config.spectrum_mode == MODE_SYMMETRIZED:
             lam, market_mode = summary.lambda_max, summary.market_mode
         else:
-            lam, market_mode = lam_directed, mode_directed
+            lam, market_mode = leading_eigenpair(snapshot)
         stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode,
                               spectrum_mode=config.spectrum_mode)
         shares = volume_share(snapshot, config.volume_mode)
@@ -198,10 +195,10 @@ def run_timeseries(records: FlowRecordSet,
     results: list[PeriodResult] = []
     skipped: list[str] = []
     failures: list[tuple[str, str]] = []
-    for period in periods:
+    for k, period in enumerate(periods):
         # Amounts are finite and nonnegative, so the matrix is all-zero
         # exactly when every amount is zero; no snapshot is needed to tell.
-        if not any(r.amount for r in records.records_by_period[period]):
+        if not records.amounts[records.period_index == k].any():
             logger.warning("skipping period %s: all-zero matrix", period)
             skipped.append(period)
             continue

@@ -102,7 +102,8 @@ def power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
     Returns (spectral radius, nonnegative unit eigenvector); the residual of
     the returned pair satisfies ||A v - lambda v|| <= RESIDUAL_RTOL * lambda.
-    A radius beyond the float range raises DataError.
+    A radius beyond the float range raises DataError, and so do weights too
+    far apart for one float scale to keep every positive weight positive.
     """
     a = np.ascontiguousarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -119,7 +120,11 @@ def power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     # entry in [0.5, 1): exact, and vector norms can no longer underflow or
     # overflow (which would turn a positive radius into 0).
     exponent = int(np.frexp(a.max())[1])
-    a = np.ldexp(a, -exponent)
+    scaled = np.ldexp(a, -exponent)
+    if np.count_nonzero(scaled) < np.count_nonzero(a):
+        raise DataError("weights span too many orders of magnitude: scaled by "
+                        f"2**{-exponent} into the float range, positive weights underflow to 0")
+    a = scaled
 
     null_vector = _nilpotent_null_vector(a)
     if null_vector is not None:

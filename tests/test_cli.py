@@ -66,6 +66,15 @@ def test_flags_a_command_ignores_are_rejected(flows_csv):
                  "--workers", "1"]) == 3
 
 
+def test_synth_and_shuffle_reject_flags_they_ignore(flows_csv):
+    assert main(["synth", "--periods", "1", "--null-samples", "5"]) == 3
+    assert main(["synth", "--periods", "1", "--null-mode", "weight-permute"]) == 3
+    shuffle = ["shuffle", "--input", str(flows_csv), "--period", "2008-Q3"]
+    assert main([*shuffle, "--volume-mode", "out"]) == 3
+    assert main([*shuffle, "--spectrum-mode", "symmetrized"]) == 3
+    assert main([*shuffle, "--null-mode", "weight-permute", "--seed", "2"]) == 0
+
+
 def test_timeseries_requires_out(flows_csv):
     assert main(["timeseries", "--input", str(flows_csv)]) == 3
 

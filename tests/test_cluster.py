@@ -243,7 +243,6 @@ def test_agglomerate_reads_only_the_upper_triangle():
     assert agglomerate(distances) == agglomerate(THREE_NODE)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_average_linkage_overflow_raises_instead_of_merging_a_retired_id():
     distances = np.full((4, 4), 1e308)
     np.fill_diagonal(distances, 0.0)

@@ -106,7 +106,7 @@ def test_total_volume_matches_emitted_records():
     records = generate_synthetic(2, 0, 10.0, 1.0, 0.0, seed=3)
     snapshot = build_snapshot(records, records.periods[0])
     assert total_volume(snapshot) == pytest.approx(
-        sum(r.amount for r in records.records), rel=1e-12)
+        sum(r.amount for r in records.rows()), rel=1e-12)
 
 
 def test_density_examples():

@@ -106,6 +106,27 @@ def test_analyze_error_keeps_period_residual_and_iterations(monkeypatch):
     assert excinfo.value.iterations == 7
 
 
+def test_analyze_weights_too_far_apart_fail_with_the_period():
+    records = parse_flow_csv(f"{HEADER}\n2008-Q3,A,B,1e200\n2008-Q3,B,A,1e-200")
+    with pytest.raises(DataError, match="^2008-Q3: weights span too many orders"):
+        analyze_period(records, "2008-Q3", FAST)
+
+
+def test_symmetrized_mode_does_not_need_the_perron_pair(monkeypatch):
+    import flowspectra.nullmodel as nullmodel_module
+    import flowspectra.pipeline as pipeline_module
+
+    def stuck(snapshot):
+        raise ConvergenceError("stuck", residual=0.25, iterations=7)
+
+    monkeypatch.setattr(pipeline_module, "leading_eigenpair", stuck)
+    monkeypatch.setattr(nullmodel_module, "leading_eigenpair", stuck)
+    config = PipelineConfig(seed=5, null_samples=5, spectrum_mode=MODE_SYMMETRIZED)
+    result = analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", config)
+    assert result.lambda_max == pytest.approx(4.0, rel=1e-10)
+    assert result.null_stats.mean == pytest.approx(4.0, rel=1e-10)
+
+
 def test_replica_error_keeps_period_replica_residual_and_iterations(monkeypatch):
     import flowspectra.nullmodel as nullmodel_module
 
@@ -286,5 +307,5 @@ def test_fingerprint_tracks_content():
 
 
 def test_records_round_trip_preserves_equality():
-    records = FlowRecordSet((FlowRecord("2008-Q3", "A", "B", 3.0),))
-    assert records == FlowRecordSet((FlowRecord("2008-Q3", "A", "B", 3.0),))
+    records = FlowRecordSet.from_rows([FlowRecord("2008-Q3", "A", "B", 3.0)])
+    assert records == FlowRecordSet.from_rows([FlowRecord("2008-Q3", "A", "B", 3.0)])

@@ -124,6 +124,13 @@ def test_radius_beyond_float_range_is_data_error():
         power_iteration(a)
 
 
+def test_weights_that_underflow_when_scaled_are_data_error():
+    # eigvals gives radius 1, but scaling 1e200 into [0.5, 1) turns 1e-200 into 0,
+    # which would leave a nilpotent matrix and a radius of 0.
+    with pytest.raises(DataError, match="positive weights underflow to 0"):
+        power_iteration(np.array([[0.0, 1e200], [1e-200, 0.0]]))
+
+
 def test_nilpotent_matrix_has_zero_radius_and_exact_pair():
     lam, v = power_iteration(np.array([[0.0, 7.0], [0.0, 0.0]]))
     assert lam == 0.0
