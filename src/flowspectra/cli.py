@@ -56,11 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
                 null_mode: bool = True, analysis: bool = True) -> None:
-    """Add --input, --config, --seed and --out, and the config flags that the
-    subcommand reads: --null-mode, and the analysis flags."""
+    """Add --input, --seed and --out, and the config flags that the subcommand
+    reads: --null-mode, and the analysis flags with --config, the file that
+    sets them."""
     if needs_input:
         sub.add_argument("--input", required=True, help="flow CSV file")
-    sub.add_argument("--config", help="JSON config file (CLI flags override it)")
     sub.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     sub.add_argument("--out", help="output directory")
     if null_mode:
@@ -68,6 +68,7 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
                          help="null model: reassign links or permute weights")
     if not analysis:
         return
+    sub.add_argument("--config", help="JSON config file (CLI flags override it)")
     sub.add_argument("--null-samples", type=int, default=None,
                      help="shuffled replicas per period (default 100)")
     sub.add_argument("--spectrum-mode", choices=SPECTRUM_MODES, default=None,

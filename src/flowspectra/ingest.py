@@ -97,35 +97,41 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
 
     Per row: field count, amount parse, period, reporter, counterparty,
     self-loop, then sign and finiteness of the amount; the first failure
-    raises with its row number. Codes are trimmed and uppercased, and each
-    distinct code is matched against its pattern once."""
+    raises with its row number, as does a field of the wrong type. Codes are
+    trimmed and uppercased, and each distinct code is matched against its
+    pattern once."""
     period_ids: dict[str, int] = {}
     entity_ids: dict[str, int] = {}
     keys: list[tuple[int, int, int]] = []
     amounts: list[float] = []
     for row_no, row in numbered_rows:
-        if len(row) != 4:
-            raise DataError(f"row {row_no}: expected 4 fields, got {len(row)}")
-        period = row[0].strip()
-        reporter = row[1].strip().upper()
-        counterparty = row[2].strip().upper()
         try:
-            amount = float(row[3])
-        except ValueError:
-            raise DataError(f"row {row_no}: negative or non-numeric amount "
-                            f"{row[3].strip()!r}") from None
-        p = _intern(period_ids, period, PERIOD_PATTERN, row_no,
-                    "malformed period label {!r} (expected YYYY-Qn)")
-        r = _intern(entity_ids, reporter, ENTITY_PATTERN, row_no,
-                    "malformed reporter entity code {!r}")
-        c = _intern(entity_ids, counterparty, ENTITY_PATTERN, row_no,
-                    "malformed counterparty entity code {!r}")
-        if r == c:
-            raise DataError(f"row {row_no}: reporter equals counterparty ({reporter!r})")
-        if not math.isfinite(amount) or amount < 0:
-            raise DataError(f"row {row_no}: negative or non-numeric amount {amount!r}")
-        keys.append((p, r, c))
-        amounts.append(amount)
+            if len(row) != 4:
+                raise DataError(f"row {row_no}: expected 4 fields, got {len(row)}")
+            period = row[0].strip()
+            reporter = row[1].strip().upper()
+            counterparty = row[2].strip().upper()
+            try:
+                amount = float(row[3])
+            except ValueError:
+                raise DataError(f"row {row_no}: negative or non-numeric amount "
+                                f"{row[3].strip()!r}") from None
+            p = _intern(period_ids, period, PERIOD_PATTERN, row_no,
+                        "malformed period label {!r} (expected YYYY-Qn)")
+            r = _intern(entity_ids, reporter, ENTITY_PATTERN, row_no,
+                        "malformed reporter entity code {!r}")
+            c = _intern(entity_ids, counterparty, ENTITY_PATTERN, row_no,
+                        "malformed counterparty entity code {!r}")
+            if r == c:
+                raise DataError(f"row {row_no}: reporter equals counterparty ({reporter!r})")
+            if not math.isfinite(amount) or amount < 0:
+                raise DataError(f"row {row_no}: negative or non-numeric amount {amount!r}")
+            keys.append((p, r, c))
+            amounts.append(amount)
+        except (TypeError, AttributeError) as exc:
+            # A field of the wrong type (None, a number for a code) fails in
+            # float() or str methods; the handler costs the valid rows nothing.
+            raise DataError(f"row {row_no}: field of the wrong type ({exc})") from None
 
     periods, entities = tuple(sorted(period_ids)), tuple(sorted(entity_ids))
     # Each list maps a sorted position to a first-seen index; argsort inverts it.

@@ -20,15 +20,15 @@ MODE_DIRECTED = "directed-perron"
 MODE_SYMMETRIZED = "symmetrized"
 SPECTRUM_MODES = (MODE_DIRECTED, MODE_SYMMETRIZED)
 
-#: Convergence policy for power iteration: successive eigenvalue estimates
-#: must agree to this relative tolerance AND the residual must satisfy
+#: Convergence test for power iteration: the candidate pair is accepted once
 #: ||A v - lambda v|| <= RESIDUAL_RTOL * lambda.
-LAMBDA_RTOL = 1e-12
-RESIDUAL_RTOL = 1e-8
+RESIDUAL_RTOL = 1e-12
 MAX_ITERATIONS = 100_000
 
-# After the convergence criteria are met, up to this many extra iterations
-# drive the estimate to its floating-point fixed point.
+# A pair that passes the residual test is returned only once lambda repeats
+# exactly or after this many more passing pairs. Driving lambda to its
+# floating-point fixed point is what makes relabelled matrices (such as the
+# null replicas of a 2-entity network) give the same lambda bits.
 _POLISH_ITERATIONS = 50
 
 _NORM_TOL = 1e-10
@@ -101,7 +101,8 @@ def power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     vector is the deterministic uniform 1/sqrt(n).
 
     Returns (spectral radius, nonnegative unit eigenvector); the residual of
-    the returned pair satisfies ||A v - lambda v|| <= RESIDUAL_RTOL * lambda.
+    the returned pair, as evaluated in floating point on the shifted matrix,
+    satisfies ||A v - lambda v|| <= RESIDUAL_RTOL * lambda.
     A radius beyond the float range raises DataError, and so do weights too
     far apart for one float scale to keep every positive weight positive.
     """
@@ -135,11 +136,7 @@ def power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
     v = np.full(n, 1.0 / math.sqrt(n))
     prev_lam = math.inf
-    lam = 0.0
-    res = math.inf
-    polish_left: int | None = None
-    best: tuple[float, float, np.ndarray] | None = None
-
+    polish_left = _POLISH_ITERATIONS
     for _ in range(MAX_ITERATIONS):
         w = b @ v
         mu = float(v @ w)
@@ -147,25 +144,16 @@ def power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
         # For the shifted matrix, A v - lam v == B v - mu v, so the residual
         # of the current candidate pair costs no extra matvec.
         res = float(np.linalg.norm(w - mu * v))
-        diff = abs(lam - prev_lam)
-        prev_lam = lam
-
-        meets = diff <= LAMBDA_RTOL * abs(lam) and res <= RESIDUAL_RTOL * lam
-        if meets and (best is None or res < best[0]):
-            best = (res, lam, v)
-        if meets and polish_left is None:
-            polish_left = _POLISH_ITERATIONS
-        elif polish_left is not None:
+        if res <= RESIDUAL_RTOL * lam:
+            if lam == prev_lam or polish_left == 0:
+                try:
+                    return math.ldexp(lam, exponent), v
+                except OverflowError:
+                    raise DataError("spectral radius exceeds the float range") from None
             polish_left -= 1
-        if polish_left is not None and (diff == 0.0 or polish_left <= 0):
-            break
+        prev_lam = lam
         v = w / float(np.linalg.norm(w))  # ||B v|| >= shift > 0 for unit v >= 0
 
-    if best is not None:
-        try:
-            return math.ldexp(best[1], exponent), best[2]
-        except OverflowError:
-            raise DataError("spectral radius exceeds the float range") from None
     res, lam = math.ldexp(res, exponent), math.ldexp(lam, exponent)
     raise ConvergenceError(
         f"power iteration did not converge within {MAX_ITERATIONS} iterations "

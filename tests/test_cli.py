@@ -75,6 +75,16 @@ def test_synth_and_shuffle_reject_flags_they_ignore(flows_csv):
     assert main([*shuffle, "--null-mode", "weight-permute", "--seed", "2"]) == 0
 
 
+def test_synth_and_shuffle_reject_a_config_file(flows_csv, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"null_samples": 5, "volume_mode": "out",
+                                  "spectrum_mode": "symmetrized"}))
+    assert main(["synth", "--periods", "1", "--n-core", "2", "--n-periphery", "0",
+                 "--config", str(config)]) == 3
+    assert main(["shuffle", "--input", str(flows_csv), "--period", "2008-Q3",
+                 "--config", str(config)]) == 3
+
+
 def test_timeseries_requires_out(flows_csv):
     assert main(["timeseries", "--input", str(flows_csv)]) == 3
 

@@ -77,6 +77,15 @@ def test_from_rows_validates_with_row_numbers():
     assert str(info.value) == "row 2: reporter equals counterparty ('JP')"
 
 
+@pytest.mark.parametrize("bad_row", [("2008-Q3", "JP", "GB", None),
+                                     (20083, "JP", "GB", 1.0),
+                                     ("2008-Q3", None, "GB", 1.0)],
+                         ids=["none-amount", "int-period", "none-reporter"])
+def test_from_rows_field_of_the_wrong_type_is_data_error(bad_row):
+    with pytest.raises(DataError, match=r"^row 2: field of the wrong type \("):
+        FlowRecordSet.from_rows([("2008-Q3", "US", "GB", 2.0), bad_row])
+
+
 def test_periods_sorted_and_entities_are_union():
     records = parse_flow_csv(
         f"{HEADER}\n2010-Q1,US,GB,1\n2008-Q3,JP,US,2\n2008-Q4,DE,FR,3"

@@ -1,0 +1,206 @@
+"""Power iteration against the dense solver on matrix families built to be hard.
+
+Every generated matrix with a positive spectral radius stays inside what
+the solver's model covers: its largest row sum is at most 1000 times that
+radius (the diagonal shift is half that row sum, so a larger ratio slows
+convergence in proportion), and a reducible matrix keeps its blocks'
+Perron roots apart unless they are meant to be equal.
+"""
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from flowspectra import FlowRecordSet, PipelineConfig, analyze_period, power_iteration
+from flowspectra.spectral import RESIDUAL_RTOL
+
+MAX_ROW_SUM_PER_RADIUS = 1000.0
+
+sizes = st.integers(1, 10)
+# Positive weights within two orders of magnitude of each other.
+weights = st.floats(0.01, 1.0)
+
+
+def positive(rows, cols):
+    return arrays(float, (rows, cols), elements=weights)
+
+
+def radius(a):
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def assert_leading_pair(a, rtol):
+    rho = radius(a)
+    shift = 0.5 * a.sum(axis=1).max()
+    assert 2 * shift <= MAX_ROW_SUM_PER_RADIUS * rho
+    lam, v = power_iteration(a)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    # The solver tests its residual as ||B v - mu v|| with B = A + shift I;
+    # evaluating that, and A v - lam v here, in floating point may move each
+    # by up to (n + 2) eps ||B||.
+    rounding = 2 * (len(a) + 2) * np.finfo(float).eps * (np.linalg.norm(a, 2) + shift)
+    assert np.linalg.norm(a @ v - lam * v) <= RESIDUAL_RTOL * lam + rounding
+    assert lam == pytest.approx(rho, rel=rtol)
+
+
+# --- pinned regressions --------------------------------------------------------
+
+
+def test_one_large_lender_gives_lambda_within_1e_9():
+    rng = np.random.default_rng(5)
+    a = (rng.random((31, 31)) < 0.1) * rng.random((31, 31))
+    np.fill_diagonal(a, 0.0)
+    a[:, 0] = 0.0
+    a[0, 1:] = 100.0
+    lam, _ = power_iteration(a)
+    assert lam == pytest.approx(radius(a), rel=1e-9)
+
+
+def test_weighted_40_cycle_gives_lambda_within_1e_10():
+    a = np.roll(np.eye(40), 1, axis=1) * np.random.default_rng(40).uniform(0.5, 2, 40)[:, None]
+    lam, _ = power_iteration(a)
+    assert lam == pytest.approx(radius(a), rel=1e-10)
+
+
+# --- generated families ----------------------------------------------------------
+
+
+@given(sizes.flatmap(lambda n: positive(n, n)))
+def test_dense(a):
+    assert_leading_pair(a, 1e-9)
+
+
+@st.composite
+def bipartite(draw):
+    """Every walk alternates between two groups: period 2, eigenvalues +-rho."""
+    p, q = draw(sizes), draw(sizes)
+    a = np.zeros((p + q, p + q))
+    a[:p, p:] = draw(positive(p, q))
+    a[p:, :p] = draw(positive(q, p))
+    return a
+
+
+@given(bipartite())
+def test_bipartite(a):
+    assert_leading_pair(a, 1e-9)
+
+
+@st.composite
+def block_triangular(draw):
+    """Reducible: the second group never lends to the first. Each diagonal
+    block is scaled to a Perron root of 1 and the second by `ratio`, which
+    keeps the two roots at least 10% apart."""
+    p, q = draw(sizes), draw(sizes)
+    top, bottom = draw(positive(p, p)), draw(positive(q, q))
+    ratio = draw(st.floats(0.1, 0.9) | st.floats(1 / 0.9, 10.0))
+    a = np.zeros((p + q, p + q))
+    a[:p, :p] = top / radius(top)
+    a[:p, p:] = draw(positive(p, q))
+    a[p:, p:] = ratio * bottom / radius(bottom)
+    return a
+
+
+@given(block_triangular())
+def test_block_triangular(a):
+    assert_leading_pair(a, 1e-8)
+
+
+@st.composite
+def equal_roots(draw):
+    """Two disconnected components whose rows each sum to `scale`, so both
+    Perron roots equal `scale` and the leading eigenspace is a plane."""
+    p, q = draw(sizes), draw(sizes)
+    top, bottom = draw(positive(p, p)), draw(positive(q, q))
+    scale = draw(st.floats(0.1, 10.0))
+    a = np.zeros((p + q, p + q))
+    a[:p, :p] = scale * top / top.sum(axis=1, keepdims=True)
+    a[p:, p:] = scale * bottom / bottom.sum(axis=1, keepdims=True)
+    return a
+
+
+@given(equal_roots())
+def test_two_components_with_equal_perron_roots(a):
+    assert_leading_pair(a, 1e-9)
+
+
+@st.composite
+def weighted_cycle(draw):
+    """One directed cycle: every eigenvalue has modulus rho (period n)."""
+    n = draw(st.integers(2, 40))
+    cycle_weights = draw(arrays(float, n, elements=st.floats(0.5, 2.0)))
+    return np.roll(np.eye(n), 1, axis=1) * cycle_weights[:, None]
+
+
+@given(weighted_cycle())
+def test_weighted_cycle(a):
+    assert_leading_pair(a, 1e-9)
+
+
+@st.composite
+def nilpotent(draw):
+    """An acyclic flow pattern under a random relabelling of the entities."""
+    n = draw(st.integers(2, 10))
+    upper = np.triu(draw(arrays(float, (n, n), elements=st.just(0.0) | weights)), 1)
+    assume(upper.any())
+    order = np.array(draw(st.permutations(range(n))))
+    return upper[np.ix_(order, order)]
+
+
+@given(nilpotent())
+def test_nilpotent_gives_exact_zero(a):
+    lam, v = power_iteration(a)
+    assert lam == 0.0
+    assert np.linalg.norm(a @ v) == 0.0
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def mixed_magnitudes(draw):
+    """Positive off-diagonal weights anywhere in 1e-3..1e3."""
+    n = draw(st.integers(2, 10))
+    a = 10.0 ** draw(arrays(float, (n, n), elements=st.floats(-3.0, 3.0)))
+    np.fill_diagonal(a, 0.0)
+    assume(a.sum(axis=1).max() <= MAX_ROW_SUM_PER_RADIUS * radius(a))
+    return a
+
+
+@given(mixed_magnitudes())
+def test_mixed_magnitudes(a):
+    assert_leading_pair(a, 1e-8)
+
+
+# --- relabelling -------------------------------------------------------------------
+
+
+@st.composite
+def relabelled_network(draw):
+    """A positive off-diagonal network and a permutation of its entities.
+
+    Rounding moves an eigenvector of the symmetrized matrix S by about
+    eps ||S|| / gap (Davis-Kahan), so its eigenvalues are kept 1e-3 ||S||
+    apart: then every IPR is fixed by S to about 2e-13."""
+    n = draw(st.integers(2, 10))
+    a = draw(positive(n, n))
+    np.fill_diagonal(a, 0.0)
+    eigenvalues = np.linalg.eigvalsh(a + a.T)
+    assume(np.min(np.diff(eigenvalues)) > 1e-3 * np.abs(eigenvalues).max())
+    return a, draw(st.permutations(range(n)))
+
+
+@given(relabelled_network())
+def test_relabelling_entities_only_permutes_participation(network):
+    a, order = network
+
+    def analyze(names):
+        rows = [("2000-Q1", names[i], names[j], a[i, j])
+                for i in range(len(a)) for j in range(len(a)) if i != j]
+        return analyze_period(FlowRecordSet.from_rows(rows), "2000-Q1",
+                              PipelineConfig(null_samples=1))
+
+    base = analyze([f"E{i:02d}" for i in range(len(a))])
+    relabelled = analyze([f"E{k:02d}" for k in order])
+    assert relabelled.lambda_max == pytest.approx(base.lambda_max, rel=1e-12)
+    assert relabelled.mean_ipr == pytest.approx(base.mean_ipr, rel=1e-12)
+    # Entity i of the base run is entity order[i] of the relabelled run.
+    assert np.asarray(relabelled.participation)[list(order)] == pytest.approx(
+        base.participation, abs=1e-9)
