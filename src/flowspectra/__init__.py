@@ -14,28 +14,23 @@ from .cluster import (
 )
 from .errors import ConfigError, ConvergenceError, DataError, FlowspectraError
 from .ingest import (
-    BisConversion,
     BisMapping,
     FlowRecord,
     FlowRecordSet,
-    convert_bis_file,
     convert_bis_lbs,
     derive_seed,
     generate_synthetic,
     generate_synthetic_series,
     load_bis_mapping,
-    load_bis_mapping_file,
     parse_flow_csv,
     parse_flow_file,
     serialize_flow_csv,
-    write_flow_file,
 )
 from .network import (
     NetworkSnapshot,
     SymmetricMatrix,
     build_snapshot,
     density,
-    snapshot_from_json,
     snapshot_to_dot,
     snapshot_to_flow_csv,
     snapshot_to_json,
@@ -46,26 +41,20 @@ from .network import (
 from .nullmodel import (
     MODE_LINK_SHUFFLE,
     MODE_WEIGHT_PERMUTE,
-    NullEnsembleStats,
     null_ensemble,
     shuffle_snapshot,
 )
 from .pipeline import (
-    PeriodResult,
     PipelineConfig,
-    TimeSeriesResult,
     analyze_period,
     config_from_sources,
-    dataset_fingerprint,
     export,
     run_timeseries,
     timeseries_from_json,
     timeseries_to_json,
 )
 from .spectral import (
-    MODE_DIRECTED,
     MODE_SYMMETRIZED,
-    SpectralSummary,
     full_spectrum,
     ipr,
     leading_eigenpair,
@@ -77,7 +66,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BisConversion",
     "BisMapping",
     "ConfigError",
     "ConvergenceError",
@@ -86,25 +74,18 @@ __all__ = [
     "FlowRecord",
     "FlowRecordSet",
     "FlowspectraError",
-    "MODE_DIRECTED",
     "MODE_LINK_SHUFFLE",
     "MODE_SYMMETRIZED",
     "MODE_WEIGHT_PERMUTE",
     "Merge",
     "NetworkSnapshot",
-    "NullEnsembleStats",
-    "PeriodResult",
     "PipelineConfig",
-    "SpectralSummary",
     "SymmetricMatrix",
-    "TimeSeriesResult",
     "agglomerate",
     "analyze_period",
     "build_snapshot",
     "config_from_sources",
-    "convert_bis_file",
     "convert_bis_lbs",
-    "dataset_fingerprint",
     "dendrogram_to_json",
     "density",
     "derive_seed",
@@ -117,7 +98,6 @@ __all__ = [
     "leading_eigenpair",
     "leaf_order",
     "load_bis_mapping",
-    "load_bis_mapping_file",
     "mean_ipr",
     "null_ensemble",
     "parse_flow_csv",
@@ -127,7 +107,6 @@ __all__ = [
     "run_timeseries",
     "serialize_flow_csv",
     "shuffle_snapshot",
-    "snapshot_from_json",
     "snapshot_to_dot",
     "snapshot_to_flow_csv",
     "snapshot_to_json",
@@ -137,5 +116,4 @@ __all__ = [
     "to_newick",
     "total_volume",
     "volume_share",
-    "write_flow_file",
 ]

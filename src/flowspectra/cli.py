@@ -34,7 +34,6 @@ from .network import (
 )
 from .nullmodel import SHUFFLE_MODES, shuffle_snapshot
 from .pipeline import (
-    EXPORT_FORMATS,
     PipelineConfig,
     analyze_period,
     config_from_sources,
@@ -75,8 +74,6 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
                      help="matrix used for lambda_max and the market mode")
     sub.add_argument("--volume-mode", choices=VOLUME_MODES, default=None,
                      help="volume share counts lending, borrowing, or both")
-    sub.add_argument("--normalize-lambda", action="store_true", default=None,
-                     help="also emit lambda_max divided by total volume")
     sub.add_argument("--include-lambda-values", action="store_true", default=None,
                      help="include raw null lambda values in JSON exports")
 
@@ -93,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     timeseries = commands.add_parser("timeseries", help="analyze every period")
     _add_common(timeseries)
-    timeseries.add_argument("--format", choices=EXPORT_FORMATS, default=None,
-                            help="restrict outputs to one format (default: both)")
     # Accepted and ignored: periods always run serially, but existing
     # scripts still pass this flag.
     timeseries.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="convert a raw locational-statistics extract")
     convert.add_argument("--input", required=True, help="raw CSV extract")
     convert.add_argument("--mapping", required=True,
-                         help="column mapping (JSON or key=value file)")
+                         help="column mapping (JSON file)")
     convert.add_argument("--out", help="output directory")
 
     return parser
@@ -162,7 +157,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     records = parse_flow_file(args.input)
     result = analyze_period(records, args.period, config)
     payload = period_to_json(result, config.include_lambda_values)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out, f"period_{args.period}.json")
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out,
+          f"period_{args.period}.json")
     return 0
 
 
@@ -171,9 +167,7 @@ def _cmd_timeseries(args: argparse.Namespace) -> int:
         raise ConfigError("timeseries requires --out")
     config = _build_config(args)
     records = parse_flow_file(args.input)
-    result = run_timeseries(records, config)
-    formats = EXPORT_FORMATS if args.format is None else (args.format,)
-    for path in export(result, args.out, formats):
+    for path in export(run_timeseries(records, config), args.out):
         print(path)
     return 0
 
@@ -184,7 +178,7 @@ def _cmd_shuffle(args: argparse.Namespace) -> int:
     snapshot = build_snapshot(records, args.period)
     surrogate = shuffle_snapshot(snapshot, config.seed, config.null_mode)
     if args.format == "json":
-        text = json.dumps(snapshot_to_json(surrogate), indent=2) + "\n"
+        text = json.dumps(snapshot_to_json(surrogate), indent=2, allow_nan=False) + "\n"
     elif args.format == "dot":
         text = snapshot_to_dot(surrogate)
     else:
@@ -205,7 +199,7 @@ def _cmd_dendrogram(args: argparse.Namespace) -> int:
         payload = dendrogram_to_json(dendrogram, snapshot.entities)
         payload["period"] = snapshot.period
         payload["linkage"] = args.linkage
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         suffix = "json"
     _emit(text, args.out, f"dendrogram_{args.period}.{suffix}")
     return 0

@@ -211,36 +211,21 @@ class BisMapping:
 
 
 def load_bis_mapping(text: str) -> BisMapping:
-    """Load a converter mapping from JSON or key=value text.
+    """Load a converter mapping from JSON text.
 
-    Key=value form uses the keys period, reporter, counterparty, value and
-    any number of ``filter.<column>=<value>`` lines.
+    The object has the keys period, reporter, counterparty and value, each
+    naming a source column, and an optional ``filters`` object of
+    column-to-value equality predicates.
     """
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON mapping: {exc}") from None
-        filters = obj.pop("filters", {})
-        if not isinstance(filters, dict):
-            raise ConfigError("mapping 'filters' must be an object")
-        keys = obj
-    else:
-        keys = {}
-        filters = {}
-        for line_no, line in enumerate(stripped.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"mapping line {line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key.startswith("filter."):
-                filters[key[len("filter."):]] = value
-            else:
-                keys[key] = value
+    try:
+        keys = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad JSON mapping: {exc}") from None
+    if not isinstance(keys, dict):
+        raise ConfigError("mapping must be a JSON object")
+    filters = keys.pop("filters", {})
+    if not isinstance(filters, dict):
+        raise ConfigError("mapping 'filters' must be an object")
     unknown = set(keys) - {"period", "reporter", "counterparty", "value"}
     if unknown:
         raise ConfigError(f"unknown mapping key(s): {', '.join(sorted(unknown))}")

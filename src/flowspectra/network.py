@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import FlowRecordSet
+from .ingest import FlowRecordSet, serialize_flow_csv
 
 VOLUME_MODES = ("both", "out", "in")
 
@@ -148,11 +148,6 @@ def snapshot_to_json(snapshot: NetworkSnapshot) -> dict:
     }
 
 
-def snapshot_from_json(obj: dict) -> NetworkSnapshot:
-    return NetworkSnapshot(obj["period"], tuple(obj["entities"]),
-                           np.asarray(obj["weights"], dtype=float))
-
-
 def snapshot_to_dot(snapshot: NetworkSnapshot) -> str:
     """Render the snapshot as a Graphviz digraph with `weight` edge attributes.
 
@@ -173,10 +168,7 @@ def snapshot_to_dot(snapshot: NetworkSnapshot) -> str:
 
 def snapshot_to_flow_csv(snapshot: NetworkSnapshot) -> str:
     """Render the snapshot's edges as flow CSV (row-major edge order)."""
-    lines = ["period,reporter,counterparty,amount"]
-    for i, src in enumerate(snapshot.entities):
-        for j, dst in enumerate(snapshot.entities):
-            w = float(snapshot.weights[i, j])
-            if w != 0:
-                lines.append(f"{snapshot.period},{src},{dst},{w!r}")
-    return "\n".join(lines) + "\n"
+    rows, cols = np.nonzero(snapshot.weights)
+    edges = FlowRecordSet((snapshot.period,), snapshot.entities, np.zeros_like(rows),
+                          rows, cols, snapshot.weights[rows, cols])
+    return serialize_flow_csv(edges)

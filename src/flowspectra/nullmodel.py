@@ -125,8 +125,12 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
         mean, std = float(ordered[0]), 0.0
         q01 = q50 = q99 = mean
     else:
-        mean = float(ordered.mean())
-        std = float(ordered.std())
+        # Sum in units of the largest lambda's power of two, so the sums behind
+        # mean and std cannot overflow; scaling by a power of two is exact.
+        exponent = int(np.frexp(ordered[-1])[1])
+        scaled = np.ldexp(ordered, -exponent)
+        mean = float(np.ldexp(scaled.mean(), exponent))
+        std = float(np.ldexp(scaled.std(), exponent))
         q01, q50, q99 = (float(q) for q in np.quantile(ordered, [0.01, 0.50, 0.99]))
     return NullEnsembleStats(
         n_samples=n_samples,

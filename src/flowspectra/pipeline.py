@@ -41,8 +41,6 @@ TIMESERIES_CSV = "timeseries.csv"
 TIMESERIES_JSON = "timeseries.json"
 PARTICIPATION_CSV = "participation.csv"
 
-EXPORT_FORMATS = ("csv", "json")
-
 
 @dataclass
 class PipelineConfig:
@@ -53,7 +51,6 @@ class PipelineConfig:
     null_mode: str = MODE_LINK_SHUFFLE
     spectrum_mode: str = MODE_DIRECTED
     volume_mode: str = "both"
-    normalize_lambda: bool = False
     include_lambda_values: bool = False
 
     def __post_init__(self) -> None:
@@ -111,7 +108,6 @@ class PeriodResult:
     participation: tuple[float, ...]
     volume_share: tuple[float, ...]
     market_mode: tuple[float, ...]
-    lambda_max_normalized: float | None = None
 
     @property
     def gap(self) -> float:
@@ -163,7 +159,6 @@ def analyze_period(records: FlowRecordSet, period: str,
             exc.args = (f"{period}: {exc}",)
         raise
 
-    total = total_volume(snapshot)
     return PeriodResult(
         period=period,
         entities=snapshot.entities,
@@ -171,12 +166,11 @@ def analyze_period(records: FlowRecordSet, period: str,
         null_stats=stats,
         mean_ipr=mean_ipr(summary),
         ipr_lambda_max=ipr(market_mode),
-        total_volume=total,
+        total_volume=total_volume(snapshot),
         density=density(snapshot),
         participation=tuple(float(x) for x in participation_percent(market_mode)),
         volume_share=tuple(float(x) for x in shares),
         market_mode=tuple(float(x) for x in market_mode),
-        lambda_max_normalized=(lam / total) if config.normalize_lambda else None,
     )
 
 
@@ -228,7 +222,7 @@ def run_timeseries(records: FlowRecordSet,
 
 
 def period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
-    payload: dict[str, Any] = {
+    return {
         "period": result.period,
         "entities": list(result.entities),
         "lambda_max": result.lambda_max,
@@ -242,9 +236,6 @@ def period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
         "market_mode": list(result.market_mode),
         "null": result.null_stats.to_json(include_lambda_values),
     }
-    if result.lambda_max_normalized is not None:
-        payload["lambda_max_normalized"] = result.lambda_max_normalized
-    return payload
 
 
 def _period_from_json(obj: dict) -> PeriodResult:
@@ -272,7 +263,6 @@ def _period_from_json(obj: dict) -> PeriodResult:
         participation=tuple(obj["participation"]),
         volume_share=tuple(obj["volume_share"]),
         market_mode=tuple(obj["market_mode"]),
-        lambda_max_normalized=obj.get("lambda_max_normalized"),
     )
 
 
@@ -299,19 +289,12 @@ def timeseries_from_json(source: str | dict) -> TimeSeriesResult:
 
 
 def _timeseries_csv(result: TimeSeriesResult) -> str:
-    normalized = any(r.lambda_max_normalized is not None for r in result.results)
-    header = ["period", "lambda_max", "lambda_sh_mean", "lambda_sh_q99",
-              "mean_ipr", "ipr_lambda_max", "total_volume", "density", "gap"]
-    if normalized:
-        header.append("lambda_max_normalized")
-    lines = [",".join(header)]
+    lines = ["period,lambda_max,lambda_sh_mean,lambda_sh_q99,"
+             "mean_ipr,ipr_lambda_max,total_volume,density,gap"]
     for r in result.results:
         cells = [r.period, repr(r.lambda_max), repr(r.null_stats.mean),
                  repr(r.null_stats.q99), repr(r.mean_ipr), repr(r.ipr_lambda_max),
                  repr(r.total_volume), repr(r.density), repr(r.gap)]
-        if normalized:
-            cells.append("" if r.lambda_max_normalized is None
-                         else repr(r.lambda_max_normalized))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -324,30 +307,20 @@ def _participation_csv(result: TimeSeriesResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(result: TimeSeriesResult, out_dir: str | Path,
-           formats: tuple[str, ...] = EXPORT_FORMATS) -> list[Path]:
+def export(result: TimeSeriesResult, out_dir: str | Path) -> list[Path]:
     """Write plot-ready tables under `out_dir`; returns the written paths.
 
-    csv: one summary row per period plus a tidy per-entity participation
-    table. json: the full nested results, reparseable by
-    timeseries_from_json.
+    timeseries.csv holds one summary row per period, participation.csv a
+    tidy per-entity participation table, and timeseries.json the full
+    nested results, reparseable by timeseries_from_json. NaN or infinite
+    values raise ValueError rather than being written as non-JSON tokens.
     """
-    unknown = [f for f in formats if f not in EXPORT_FORMATS]
-    if unknown:
-        raise ConfigError(f"unknown export format(s): {', '.join(unknown)}")
+    tables = ((TIMESERIES_CSV, _timeseries_csv(result)),
+              (PARTICIPATION_CSV, _participation_csv(result)),
+              (TIMESERIES_JSON,
+               json.dumps(timeseries_to_json(result), indent=2, allow_nan=False) + "\n"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "csv" in formats:
-        csv_path = out / TIMESERIES_CSV
-        csv_path.write_text(_timeseries_csv(result), encoding="utf-8", newline="\n")
-        written.append(csv_path)
-        part_path = out / PARTICIPATION_CSV
-        part_path.write_text(_participation_csv(result), encoding="utf-8", newline="\n")
-        written.append(part_path)
-    if "json" in formats:
-        json_path = out / TIMESERIES_JSON
-        json_path.write_text(json.dumps(timeseries_to_json(result), indent=2) + "\n",
-                             encoding="utf-8", newline="\n")
-        written.append(json_path)
-    return written
+    for name, text in tables:
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
+    return [out / name for name, _ in tables]

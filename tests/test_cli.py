@@ -107,12 +107,15 @@ def test_workers_flag_is_accepted_but_hidden(flows_csv, tmp_path, capsys):
     assert "--workers" not in capsys.readouterr().out
 
 
-def test_timeseries_format_filter(flows_csv, tmp_path):
-    out = tmp_path / "only_json"
-    assert main(["timeseries", "--input", str(flows_csv), "--null-samples", "2",
-                 "--format", "json", "--out", str(out)]) == 0
-    assert (out / "timeseries.json").exists()
-    assert not (out / "timeseries.csv").exists()
+def test_removed_timeseries_flags_are_rejected(flows_csv, tmp_path):
+    base = ["timeseries", "--input", str(flows_csv), "--null-samples", "2",
+            "--out", str(tmp_path / "run")]
+    assert main(base + ["--normalize-lambda"]) == 3
+    assert main(base + ["--format", "json"]) == 3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"normalize_lambda": True}))
+    assert main(base + ["--config", str(config)]) == 3
+    assert not (tmp_path / "run").exists()
 
 
 def test_shuffle_formats(flows_csv, capsys):
@@ -167,13 +170,13 @@ def test_convert_bis_subcommand(tmp_path, capsys):
     assert len(out_lines) == 3
 
 
-def test_convert_bis_keyvalue_mapping(tmp_path, capsys):
+def test_convert_bis_rejects_a_keyvalue_mapping(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("P,R,C,V\n2008-Q3,US,GB,5\n")
     mapping = tmp_path / "mapping.txt"
     mapping.write_text("period=P\nreporter=R\ncounterparty=C\nvalue=V\n")
-    assert main(["convert-bis", "--input", str(raw), "--mapping", str(mapping)]) == 0
-    assert "2008-Q3,US,GB,5.0" in capsys.readouterr().out
+    assert main(["convert-bis", "--input", str(raw), "--mapping", str(mapping)]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_config_file_with_cli_override(flows_csv, tmp_path, capsys):

@@ -204,18 +204,12 @@ def test_convert_total_matches_surviving_source_values():
     assert total == pytest.approx(expected, rel=1e-9)
 
 
-def test_load_mapping_json_and_keyvalue():
-    json_text = ('{"period": "P", "reporter": "R", "counterparty": "C",'
-                 ' "value": "V", "filters": {"M": "S"}}')
-    kv_text = "period=P\nreporter=R\ncounterparty=C\nvalue=V\nfilter.M=S\n"
-    assert load_bis_mapping(json_text) == load_bis_mapping(kv_text)
-
-
 def test_load_mapping_rejects_missing_and_unknown_keys():
     with pytest.raises(ConfigError, match="missing"):
-        load_bis_mapping("period=P\nreporter=R\ncounterparty=C\n")
+        load_bis_mapping('{"period": "P", "reporter": "R", "counterparty": "C"}')
     with pytest.raises(ConfigError, match="unknown"):
-        load_bis_mapping("period=P\nreporter=R\ncounterparty=C\nvalue=V\nbogus=1\n")
+        load_bis_mapping('{"period": "P", "reporter": "R", "counterparty": "C",'
+                         ' "value": "V", "bogus": "1"}')
 
 
 # --- synthetic generator -----------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,8 @@ from flowspectra import (
     density,
     generate_synthetic,
     parse_flow_csv,
-    snapshot_from_json,
     snapshot_to_dot,
     snapshot_to_flow_csv,
-    snapshot_to_json,
     symmetrize,
     total_volume,
     volume_share,
@@ -154,15 +150,6 @@ def test_share_sums_and_matrix_invariants_random():
         assert np.trace(snapshot.weights) == 0.0
         for mode in ("both", "out", "in"):
             assert abs(volume_share(snapshot, mode).sum() - 100.0) < 1e-9
-
-
-def test_snapshot_json_round_trip():
-    snapshot = build_snapshot(two_node_records(), "2008-Q3")
-    payload = json.loads(json.dumps(snapshot_to_json(snapshot)))
-    restored = snapshot_from_json(payload)
-    assert restored.period == snapshot.period
-    assert restored.entities == snapshot.entities
-    assert np.array_equal(restored.weights, snapshot.weights)
 
 
 def test_snapshot_dot_export():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +205,29 @@ def test_timeseries_gap_is_finite_everywhere():
     assert all(math.isfinite(r.gap) for r in result.results)
 
 
+def test_null_statistics_near_the_float_maximum_stay_finite(tmp_path):
+    # A directed 6-cycle plus chords 0<->3 and 1<->4; the total is 1.19e308,
+    # so the replica lambdas sum past the float maximum.
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (3, 0), (1, 4), (4, 1)]
+    amounts = np.random.default_rng(3).uniform(1e307, 1.5e307, len(edges))
+    records = FlowRecordSet.from_rows(
+        ("2008-Q3", f"E{a}", f"E{b}", float(w)) for (a, b), w in zip(edges, amounts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_timeseries(records, PipelineConfig(seed=1, null_samples=100))
+        export(result, tmp_path)
+    stats = result.results[0].null_stats
+    values = np.asarray(stats.lambda_values)
+    mean = math.fsum(values / values.size)
+    assert stats.mean == pytest.approx(mean, rel=1e-14)
+    deviations = (values - mean) / 1e300
+    std = math.sqrt(math.fsum(deviations**2) / values.size) * 1e300
+    assert stats.std == pytest.approx(std, rel=1e-12)
+    assert math.isfinite(result.results[0].gap)
+    row = (tmp_path / "timeseries.csv").read_text().splitlines()[1].split(",")
+    assert all(math.isfinite(float(cell)) for cell in row[1:])
+
+
 def test_degenerate_null_equality_case():
     # Complete digraph with equal weights: weight-permute replicas are the
     # identical matrix, so lambda matches the null mean exactly.
@@ -272,6 +297,14 @@ def test_export_json_round_trip(tmp_path):
     assert restored == result
 
 
+def test_export_refuses_non_finite_json(tmp_path):
+    result = run_timeseries(parse_flow_csv(TWO_NODE), FAST)
+    broken = dataclasses.replace(result.results[0], lambda_max=float("nan"))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        export(dataclasses.replace(result, results=(broken,)), tmp_path)
+    assert not (tmp_path / "timeseries.json").exists()
+
+
 def test_timeseries_json_is_pure_data():
     result = run_timeseries(parse_flow_csv(TWO_NODE), FAST)
     payload = timeseries_to_json(result)
@@ -288,16 +321,6 @@ def test_export_is_byte_identical_across_runs(tmp_path):
     export(run_timeseries(records, config), dir_b)
     for name in ("timeseries.csv", "participation.csv", "timeseries.json"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-
-
-def test_normalize_lambda_flag_adds_column(tmp_path):
-    config = PipelineConfig(seed=5, null_samples=3, normalize_lambda=True)
-    result = run_timeseries(parse_flow_csv(TWO_NODE), config)
-    assert result.results[0].lambda_max_normalized == pytest.approx(
-        math.sqrt(15) / 8.0, rel=1e-12)
-    export(result, tmp_path)
-    header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
-    assert header.endswith("lambda_max_normalized")
 
 
 def test_fingerprint_tracks_content():

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowspectra import FlowRecordSet, PipelineConfig, analyze_period, power_iteration
+from flowspectra import (
+    ConvergenceError,
+    FlowRecordSet,
+    PipelineConfig,
+    analyze_period,
+    power_iteration,
+)
 from flowspectra.spectral import RESIDUAL_RTOL
 
 MAX_ROW_SUM_PER_RADIUS = 1000.0
@@ -60,6 +66,18 @@ def test_weighted_40_cycle_gives_lambda_within_1e_10():
     a = np.roll(np.eye(40), 1, axis=1) * np.random.default_rng(40).uniform(0.5, 2, 40)[:, None]
     lam, _ = power_iteration(a)
     assert lam == pytest.approx(radius(a), rel=1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="a defective Perron root converges only as 1/k")
+def test_two_equal_cycles_joined_by_one_edge():
+    # Both 2-cycles have root 1, and the edge 1 -> 2 joins their classes, so
+    # the root 1 has a Jordan block of size 2 and the iterate nears the
+    # eigenvector only like 1/k: after 100,000 steps lambda is 2e-5 high.
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = a[1, 2] = 1.0
+    lam, _ = power_iteration(a)
+    assert lam == pytest.approx(radius(a), rel=1e-9)
 
 
 # --- generated families ----------------------------------------------------------
