@@ -60,7 +60,6 @@ from .spectral import (
     leading_eigenpair,
     mean_ipr,
     participation_percent,
-    power_iteration,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +102,6 @@ __all__ = [
     "parse_flow_csv",
     "parse_flow_file",
     "participation_percent",
-    "power_iteration",
     "run_timeseries",
     "serialize_flow_csv",
     "shuffle_snapshot",

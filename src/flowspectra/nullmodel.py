@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, FlowspectraError
 from .ingest import derive_seed
-from .network import NetworkSnapshot, symmetrize
+from .network import NetworkSnapshot
 from .spectral import MODE_DIRECTED, MODE_SYMMETRIZED, SPECTRUM_MODES, leading_eigenpair
 
 MODE_LINK_SHUFFLE = "link-shuffle"
@@ -98,28 +98,31 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
     """Null distribution of the leading eigenvalue over shuffled replicas.
 
     Replica k shuffles with a sub-seed derived from (seed, k), so replicas
-    are independent, order-insensitive, and replayable. In symmetrized
-    spectrum mode the top eigenvalue of each symmetrized replica is used.
+    are independent, order-insensitive, and replayable. All replicas are
+    solved together as one stack. In symmetrized spectrum mode the top
+    eigenvalue of each symmetrized replica is used.
     """
     _check_mode(mode)
     if spectrum_mode not in SPECTRUM_MODES:
         raise DataError(f"unknown spectrum mode {spectrum_mode!r}")
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
-    lambdas: list[float] = []
+    # Replica k is written straight into slice k of one stack, which the
+    # eigensolver then overwrites in place.
+    n = snapshot.n_entities
+    stack = np.empty((n_samples, n, n))
     for k in range(n_samples):
-        replica = shuffle_snapshot(snapshot, derive_seed(seed, k), mode)
+        stack[k] = shuffle_snapshot(snapshot, derive_seed(seed, k), mode).weights
+    if spectrum_mode == MODE_SYMMETRIZED:
+        lambdas = np.linalg.eigvalsh((stack + stack.swapaxes(1, 2)) / 2.0)[:, -1]
+    else:
         try:
-            if spectrum_mode == MODE_SYMMETRIZED:
-                lam = float(np.linalg.eigvalsh(symmetrize(replica).values)[-1])
-            else:
-                lam, _ = leading_eigenpair(replica)
+            lambdas, _ = leading_eigenpair(stack)
         except FlowspectraError as exc:  # keeps residual and iterations
-            exc.args = (f"replica {k}: {exc}",)
+            exc.args = (f"replica {exc.index}: {exc}",)
             raise
-        lambdas.append(lam)
 
-    ordered = np.sort(np.asarray(lambdas))
+    ordered = np.sort(lambdas)
     if ordered[0] == ordered[-1]:
         # Constant distribution: avoid the rounding a 50-term mean would add.
         mean, std = float(ordered[0]), 0.0
@@ -134,7 +137,7 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
         q01, q50, q99 = (float(q) for q in np.quantile(ordered, [0.01, 0.50, 0.99]))
     return NullEnsembleStats(
         n_samples=n_samples,
-        lambda_values=tuple(lambdas),
+        lambda_values=tuple(lambdas.tolist()),
         mean=mean,
         std=std,
         q01=q01,

@@ -149,7 +149,7 @@ def analyze_period(records: FlowRecordSet, period: str,
         if config.spectrum_mode == MODE_SYMMETRIZED:
             lam, market_mode = summary.lambda_max, summary.market_mode
         else:
-            lam, market_mode = leading_eigenpair(snapshot)
+            lam, market_mode = leading_eigenpair(snapshot.weights)
         stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode,
                               spectrum_mode=config.spectrum_mode)
         shares = volume_share(snapshot, config.volume_mode)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .network import NetworkSnapshot, SymmetricMatrix
+from .network import SymmetricMatrix
 
 MODE_DIRECTED = "directed-perron"
 MODE_SYMMETRIZED = "symmetrized"
@@ -92,81 +92,128 @@ def _nilpotent_null_vector(a: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a nonnegative square matrix.
+def _compact(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the kept matrices, in order, to the front of `stack` (in place,
+    with no temporary stack) and return that prefix as a view."""
+    for j, k in enumerate(keep):
+        if j != k:
+            stack[j] = stack[k]
+    return stack[:len(keep)]
 
-    Iterates with a diagonal shift of half the largest row sum, which leaves
-    the spectral radius and its eigenvector unchanged but keeps periodic
-    (bipartite-like) matrices converging instead of oscillating. The start
-    vector is the deterministic uniform 1/sqrt(n).
 
-    Returns (spectral radius, nonnegative unit eigenvector); the residual of
-    the returned pair, as evaluated in floating point on the shifted matrix,
-    satisfies ||A v - lambda v|| <= RESIDUAL_RTOL * lambda.
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each one BLAS dot as for a single vector."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def leading_eigenpair(weights: np.ndarray) -> tuple:
+    """Dominant eigenpair of a nonnegative (N, N) matrix, or of each matrix
+    of an (R, N, N) stack.
+
+    Power iteration with a diagonal shift of half the largest row sum, which
+    leaves the spectral radius and its eigenvector unchanged but keeps
+    periodic (bipartite-like) matrices converging instead of oscillating.
+    The start vector is the deterministic uniform 1/sqrt(n). A stack runs
+    one iteration over all its matrices; each keeps its own scale, shift,
+    residual test and polish, and leaves the iteration once it converges,
+    so a matrix gets the same bits alone as in any stack.
+
+    Returns (spectral radius, nonnegative unit eigenvector) for a matrix,
+    and an (R,) array of radii with an (R, N) array of vectors for a stack.
+    The residual of each returned pair, as evaluated in floating point on
+    the shifted matrix, satisfies ||A v - lambda v|| <= RESIDUAL_RTOL * lambda.
     A radius beyond the float range raises DataError, and so do weights too
     far apart for one float scale to keep every positive weight positive.
+    Errors about one matrix of a stack carry its position as `index`.
+
+    A C-contiguous float64 stack is the work array and is overwritten, so
+    solving R matrices holds no second R x N x N array; a matrix is copied.
     """
-    a = np.ascontiguousarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    a = np.asarray(weights)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DataError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.ndim == 2:
+        lam, vectors = leading_eigenpair(np.array(a, dtype=float)[None])
+        return float(lam[0]), vectors[0]
+    a = np.require(a, dtype=float, requirements=["C_CONTIGUOUS", "WRITEABLE"])
+    count, n = a.shape[0], a.shape[1]
     if n == 0:
         raise DataError("empty matrix")
-    if a.min() < 0:
-        raise DataError("power iteration requires a nonnegative matrix")
-    if not a.any():
-        raise DataError("zero matrix has no leading eigenpair")
 
-    # Iterate on the matrix scaled by a power of two that puts its largest
+    flat = a.reshape(count, n * n)
+    for k in np.flatnonzero(flat.min(axis=1) < 0):
+        raise DataError("power iteration requires a nonnegative matrix", index=int(k))
+    peaks = flat.max(axis=1)
+    for k in np.flatnonzero(peaks == 0):
+        raise DataError("matrix has no nonzero entries", index=int(k))
+
+    # Iterate on each matrix scaled by a power of two that puts its largest
     # entry in [0.5, 1): exact, and vector norms can no longer underflow or
     # overflow (which would turn a positive radius into 0).
-    exponent = int(np.frexp(a.max())[1])
-    scaled = np.ldexp(a, -exponent)
-    if np.count_nonzero(scaled) < np.count_nonzero(a):
+    exponents = np.frexp(peaks)[1]
+    nonzero = np.count_nonzero(flat, axis=1)
+    np.ldexp(a, -exponents[:, None, None], out=a)
+    for k in np.flatnonzero(np.count_nonzero(flat, axis=1) < nonzero):
         raise DataError("weights span too many orders of magnitude: scaled by "
-                        f"2**{-exponent} into the float range, positive weights underflow to 0")
-    a = scaled
+                        f"2**{-int(exponents[k])} into the float range, positive "
+                        "weights underflow to 0", index=int(k))
 
-    null_vector = _nilpotent_null_vector(a)
-    if null_vector is not None:
-        return 0.0, null_vector
+    lambdas = np.zeros(count)
+    vectors = np.empty((count, n))
+    active = []
+    for k in range(count):
+        null_vector = _nilpotent_null_vector(a[k])
+        if null_vector is None:
+            active.append(k)
+        else:
+            vectors[k] = null_vector
 
-    shift = 0.5 * float(a.sum(axis=1).max())
-    b = a + shift * np.eye(n)
+    shift = 0.5 * a.sum(axis=2).max(axis=1)
+    flat[:, ::n + 1] += shift[:, None]  # B = A + shift I, in place
 
-    v = np.full(n, 1.0 / math.sqrt(n))
-    prev_lam = math.inf
-    polish_left = _POLISH_ITERATIONS
-    for _ in range(MAX_ITERATIONS):
-        w = b @ v
-        mu = float(v @ w)
+    # Only unconverged matrices are iterated: they sit, in order, at the front
+    # of the work array, and `active` holds their positions in the stack.
+    active = np.asarray(active, dtype=int)
+    b, shift, exponents = _compact(a, active), shift[active], exponents[active]
+    v = np.full((len(active), n), 1.0 / math.sqrt(n))
+    prev_lam = np.full(len(active), math.inf)
+    polish_left = np.full(len(active), _POLISH_ITERATIONS)
+    iterations = 0
+    while len(active):
+        if iterations == MAX_ITERATIONS:
+            exponent = int(exponents[0])
+            res, lam = math.ldexp(res[0], exponent), math.ldexp(lam[0], exponent)
+            raise ConvergenceError(
+                f"power iteration did not converge within {MAX_ITERATIONS} iterations "
+                f"(residual {res:.3e}, lambda {lam:.6e})",
+                residual=res, iterations=MAX_ITERATIONS, index=int(active[0]),
+            )
+        iterations += 1
+        w = np.matmul(b, v[:, :, None])[:, :, 0]
+        mu = _dots(v, w)
         lam = mu - shift
         # For the shifted matrix, A v - lam v == B v - mu v, so the residual
         # of the current candidate pair costs no extra matvec.
-        res = float(np.linalg.norm(w - mu * v))
-        if res <= RESIDUAL_RTOL * lam:
-            if lam == prev_lam or polish_left == 0:
-                try:
-                    return math.ldexp(lam, exponent), v
-                except OverflowError:
-                    raise DataError("spectral radius exceeds the float range") from None
-            polish_left -= 1
+        r = w - mu[:, None] * v
+        res = np.sqrt(_dots(r, r))
+        passing = res <= RESIDUAL_RTOL * lam
+        done = passing & ((lam == prev_lam) | (polish_left == 0))
+        if done.any():
+            with np.errstate(over="ignore"):
+                radii = np.ldexp(lam[done], exponents[done])
+            for k in active[done][np.isinf(radii)]:
+                raise DataError("spectral radius exceeds the float range", index=int(k))
+            lambdas[active[done]] = radii
+            vectors[active[done]] = v[done]
+            keep = np.flatnonzero(~done)
+            b = _compact(b, keep)
+            active, shift, exponents = active[keep], shift[keep], exponents[keep]
+            lam, res, passing = lam[keep], res[keep], passing[keep]
+            w, polish_left = w[keep], polish_left[keep]
+        polish_left -= passing
         prev_lam = lam
-        v = w / float(np.linalg.norm(w))  # ||B v|| >= shift > 0 for unit v >= 0
-
-    res, lam = math.ldexp(res, exponent), math.ldexp(lam, exponent)
-    raise ConvergenceError(
-        f"power iteration did not converge within {MAX_ITERATIONS} iterations "
-        f"(residual {res:.3e}, lambda {lam:.6e})",
-        residual=res, iterations=MAX_ITERATIONS,
-    )
-
-
-def leading_eigenpair(snapshot: NetworkSnapshot) -> tuple[float, np.ndarray]:
-    """Spectral radius and nonnegative market-mode vector of a snapshot."""
-    if not snapshot.weights.any():
-        raise DataError(f"{snapshot.period}: matrix has no nonzero entries")
-    return power_iteration(snapshot.weights)
+        v = w / np.sqrt(_dots(w, w))[:, None]  # ||B v|| >= shift > 0 for unit v >= 0
+    return lambdas, vectors
 
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:

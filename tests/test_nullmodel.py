@@ -6,15 +6,19 @@ import pytest
 from flowspectra import (
     DataError,
     MODE_LINK_SHUFFLE,
+    MODE_SYMMETRIZED,
     MODE_WEIGHT_PERMUTE,
     NetworkSnapshot,
     build_snapshot,
+    derive_seed,
     generate_synthetic,
     leading_eigenpair,
     null_ensemble,
     shuffle_snapshot,
+    symmetrize,
     total_volume,
 )
+from flowspectra.spectral import MODE_DIRECTED
 
 
 def snapshot_of(matrix, period="2000-Q1"):
@@ -140,9 +144,26 @@ def test_ensemble_rejects_bad_sample_count():
 def test_core_periphery_structure_beats_null():
     records = generate_synthetic(5, 15, 100.0, 1.0, 0.2, seed=12)
     snapshot = build_snapshot(records, records.periods[0])
-    lam, _ = leading_eigenpair(snapshot)
+    lam, _ = leading_eigenpair(snapshot.weights)
     stats = null_ensemble(snapshot, 200, seed=99, mode=MODE_LINK_SHUFFLE)
     assert lam > stats.q99
+
+
+@pytest.mark.parametrize("spectrum_mode", [MODE_DIRECTED, MODE_SYMMETRIZED])
+def test_each_stacked_replica_equals_its_own_solve(spectrum_mode):
+    # A replica's lambda must not depend on the other matrices of its stack.
+    records = generate_synthetic(6, 25, 100.0, 1.0, 0.1, seed=3)
+    snapshot = build_snapshot(records, records.periods[0])
+    small = null_ensemble(snapshot, 13, seed=41, spectrum_mode=spectrum_mode)
+    large = null_ensemble(snapshot, 100, seed=41, spectrum_mode=spectrum_mode)
+    assert small.lambda_values == large.lambda_values[:13]
+    for k, lam in enumerate(small.lambda_values):
+        replica = shuffle_snapshot(snapshot, derive_seed(41, k))
+        if spectrum_mode == MODE_SYMMETRIZED:
+            alone = float(np.linalg.eigvalsh(symmetrize(replica).values)[-1])
+        else:
+            alone, _ = leading_eigenpair(replica.weights)
+        assert lam == alone
 
 
 def test_stats_json_payload():

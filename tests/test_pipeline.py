@@ -132,14 +132,9 @@ def test_symmetrized_mode_does_not_need_the_perron_pair(monkeypatch):
 def test_replica_error_keeps_period_replica_residual_and_iterations(monkeypatch):
     import flowspectra.nullmodel as nullmodel_module
 
-    real = nullmodel_module.leading_eigenpair
-    calls = []
-
-    def stuck_on_replica_3(snapshot):
-        calls.append(snapshot)
-        if len(calls) == 4:
-            raise ConvergenceError("stuck", residual=0.5, iterations=11)
-        return real(snapshot)
+    def stuck_on_replica_3(stack):
+        assert stack.shape == (FAST.null_samples, 2, 2)
+        raise ConvergenceError("stuck", residual=0.5, iterations=11, index=3)
 
     monkeypatch.setattr(nullmodel_module, "leading_eigenpair", stuck_on_replica_3)
     with pytest.raises(ConvergenceError, match="^2008-Q3: replica 3: stuck$") as excinfo:

@@ -6,6 +6,8 @@ radius (the diagonal shift is half that row sum, so a larger ratio slows
 convergence in proportion), and a reducible matrix keeps its blocks'
 Perron roots apart unless they are meant to be equal.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -16,9 +18,14 @@ from flowspectra import (
     FlowRecordSet,
     PipelineConfig,
     analyze_period,
-    power_iteration,
+    leading_eigenpair,
 )
-from flowspectra.spectral import RESIDUAL_RTOL
+from flowspectra.spectral import (
+    _POLISH_ITERATIONS,
+    MAX_ITERATIONS,
+    RESIDUAL_RTOL,
+    _nilpotent_null_vector,
+)
 
 MAX_ROW_SUM_PER_RADIUS = 1000.0
 
@@ -35,11 +42,15 @@ def radius(a):
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def assert_leading_pair(a, rtol):
+def assert_leading_pair(a, rtol, pair=None):
+    lam, v = leading_eigenpair(a) if pair is None else pair
+    # Check in units of a power of two near the largest weight (exact), so
+    # that norms of matrices near 1e200 or 1e-200 cannot overflow or underflow.
+    exponent = int(np.frexp(a.max())[1])
+    a, lam = np.ldexp(a, -exponent), math.ldexp(lam, -exponent)
     rho = radius(a)
     shift = 0.5 * a.sum(axis=1).max()
     assert 2 * shift <= MAX_ROW_SUM_PER_RADIUS * rho
-    lam, v = power_iteration(a)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     # The solver tests its residual as ||B v - mu v|| with B = A + shift I;
     # evaluating that, and A v - lam v here, in floating point may move each
@@ -47,6 +58,32 @@ def assert_leading_pair(a, rtol):
     rounding = 2 * (len(a) + 2) * np.finfo(float).eps * (np.linalg.norm(a, 2) + shift)
     assert np.linalg.norm(a @ v - lam * v) <= RESIDUAL_RTOL * lam + rounding
     assert lam == pytest.approx(rho, rel=rtol)
+
+
+def reference_power_iteration(a):
+    """One matrix at a time: the loop the stacked solver replaced, kept as its
+    reference. Same scaling, shift, residual test and polish, so the stack
+    must give the same bits."""
+    exponent = int(np.frexp(a.max())[1])
+    a = np.ldexp(a, -exponent)
+    null_vector = _nilpotent_null_vector(a)
+    if null_vector is not None:
+        return 0.0, null_vector
+    shift = 0.5 * float(a.sum(axis=1).max())
+    b = a + shift * np.eye(len(a))
+    v = np.full(len(a), 1.0 / math.sqrt(len(a)))
+    prev_lam, polish_left = math.inf, _POLISH_ITERATIONS
+    for _ in range(MAX_ITERATIONS):
+        w = b @ v
+        mu = float(v @ w)
+        lam = mu - shift
+        if float(np.linalg.norm(w - mu * v)) <= RESIDUAL_RTOL * lam:
+            if lam == prev_lam or polish_left == 0:
+                return math.ldexp(lam, exponent), v
+            polish_left -= 1
+        prev_lam = lam
+        v = w / float(np.linalg.norm(w))
+    raise ConvergenceError("reference did not converge")
 
 
 # --- pinned regressions --------------------------------------------------------
@@ -58,13 +95,13 @@ def test_one_large_lender_gives_lambda_within_1e_9():
     np.fill_diagonal(a, 0.0)
     a[:, 0] = 0.0
     a[0, 1:] = 100.0
-    lam, _ = power_iteration(a)
+    lam, _ = leading_eigenpair(a)
     assert lam == pytest.approx(radius(a), rel=1e-9)
 
 
 def test_weighted_40_cycle_gives_lambda_within_1e_10():
     a = np.roll(np.eye(40), 1, axis=1) * np.random.default_rng(40).uniform(0.5, 2, 40)[:, None]
-    lam, _ = power_iteration(a)
+    lam, _ = leading_eigenpair(a)
     assert lam == pytest.approx(radius(a), rel=1e-10)
 
 
@@ -76,7 +113,7 @@ def test_two_equal_cycles_joined_by_one_edge():
     # eigenvector only like 1/k: after 100,000 steps lambda is 2e-5 high.
     a = np.zeros((4, 4))
     a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = a[1, 2] = 1.0
-    lam, _ = power_iteration(a)
+    lam, _ = leading_eigenpair(a)
     assert lam == pytest.approx(radius(a), rel=1e-9)
 
 
@@ -89,9 +126,13 @@ def test_dense(a):
 
 
 @st.composite
-def bipartite(draw):
+def bipartite(draw, n=None):
     """Every walk alternates between two groups: period 2, eigenvalues +-rho."""
-    p, q = draw(sizes), draw(sizes)
+    if n is None:
+        p, q = draw(sizes), draw(sizes)
+    else:
+        p = draw(st.integers(1, n - 1))
+        q = n - p
     a = np.zeros((p + q, p + q))
     a[:p, p:] = draw(positive(p, q))
     a[p:, :p] = draw(positive(q, p))
@@ -142,9 +183,10 @@ def test_two_components_with_equal_perron_roots(a):
 
 
 @st.composite
-def weighted_cycle(draw):
+def weighted_cycle(draw, n=None):
     """One directed cycle: every eigenvalue has modulus rho (period n)."""
-    n = draw(st.integers(2, 40))
+    if n is None:
+        n = draw(st.integers(2, 40))
     cycle_weights = draw(arrays(float, n, elements=st.floats(0.5, 2.0)))
     return np.roll(np.eye(n), 1, axis=1) * cycle_weights[:, None]
 
@@ -155,9 +197,10 @@ def test_weighted_cycle(a):
 
 
 @st.composite
-def nilpotent(draw):
+def nilpotent(draw, n=None):
     """An acyclic flow pattern under a random relabelling of the entities."""
-    n = draw(st.integers(2, 10))
+    if n is None:
+        n = draw(st.integers(2, 10))
     upper = np.triu(draw(arrays(float, (n, n), elements=st.just(0.0) | weights)), 1)
     assume(upper.any())
     order = np.array(draw(st.permutations(range(n))))
@@ -166,7 +209,7 @@ def nilpotent(draw):
 
 @given(nilpotent())
 def test_nilpotent_gives_exact_zero(a):
-    lam, v = power_iteration(a)
+    lam, v = leading_eigenpair(a)
     assert lam == 0.0
     assert np.linalg.norm(a @ v) == 0.0
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -185,6 +228,44 @@ def mixed_magnitudes(draw):
 @given(mixed_magnitudes())
 def test_mixed_magnitudes(a):
     assert_leading_pair(a, 1e-8)
+
+
+# --- stacks ------------------------------------------------------------------------
+
+#: Each family with the tolerance of its own test; None marks lambda exactly 0.
+FAMILIES = {
+    "dense": (lambda n: positive(n, n), 1e-9),
+    "bipartite": (bipartite, 1e-9),
+    "weighted cycle": (weighted_cycle, 1e-9),
+    "nilpotent": (nilpotent, None),
+}
+
+
+@st.composite
+def mixed_stack(draw):
+    """Matrices of one size from every family, each scaled by its own factor
+    anywhere in 1e-200..1e200."""
+    n = draw(st.integers(2, 10))
+    kinds = draw(st.lists(st.sampled_from(sorted(FAMILIES)), min_size=1, max_size=6))
+    stack = np.array([draw(FAMILIES[kind][0](n)) * 10.0 ** draw(st.floats(-200.0, 200.0))
+                      for kind in kinds])
+    return kinds, stack
+
+
+@given(mixed_stack())
+def test_stack_of_families_at_mixed_scales(case):
+    kinds, stack = case
+    lams, vectors = leading_eigenpair(stack.copy())
+    for kind, a, lam, v in zip(kinds, stack, lams, vectors):
+        for alone, alone_v in (leading_eigenpair(a), reference_power_iteration(a)):
+            assert lam == alone
+            assert np.array_equal(v, alone_v)
+        rtol = FAMILIES[kind][1]
+        if rtol is None:
+            assert lam == 0.0
+            assert np.linalg.norm(a @ v) == 0.0
+        else:
+            assert_leading_pair(a, rtol, (lam, v))
 
 
 # --- relabelling -------------------------------------------------------------------

@@ -12,7 +12,6 @@ from flowspectra import (
     leading_eigenpair,
     mean_ipr,
     participation_percent,
-    power_iteration,
 )
 
 
@@ -86,14 +85,14 @@ def test_participation_sums_to_100_for_random_unit_vectors():
 
 
 def test_leading_pair_of_symmetric_permutation():
-    lam, v = leading_eigenpair(snapshot_of([[0, 1], [1, 0]]))
+    lam, v = leading_eigenpair(snapshot_of([[0, 1], [1, 0]]).weights)
     assert lam == pytest.approx(1.0, rel=1e-12)
     assert v == pytest.approx(np.full(2, 1 / math.sqrt(2)), abs=1e-10)
 
 
 def test_leading_pair_periodic_two_cycle():
     # characteristic polynomial lambda^2 - 6 = 0
-    lam, _ = leading_eigenpair(snapshot_of([[0, 2], [3, 0]]))
+    lam, _ = leading_eigenpair(snapshot_of([[0, 2], [3, 0]]).weights)
     assert lam == pytest.approx(math.sqrt(6), rel=1e-12)
 
 
@@ -101,7 +100,7 @@ def test_leading_pair_matches_dense_solver_on_random_matrices():
     rng = np.random.default_rng(77)
     for _ in range(100):
         a = rng.random((5, 5))
-        lam, v = power_iteration(a)
+        lam, v = leading_eigenpair(a)
         rho = float(np.max(np.abs(np.linalg.eigvals(a))))
         assert lam == pytest.approx(rho, rel=1e-8)
         assert np.linalg.norm(a @ v - lam * v) <= 1e-8 * lam
@@ -109,42 +108,64 @@ def test_leading_pair_matches_dense_solver_on_random_matrices():
 
 def test_leading_pair_rejects_zero_matrix():
     with pytest.raises(DataError, match="no nonzero"):
-        leading_eigenpair(snapshot_of(np.zeros((3, 3))))
+        leading_eigenpair(snapshot_of(np.zeros((3, 3))).weights)
 
 
 def test_power_iteration_rejects_negative_entries():
     with pytest.raises(DataError, match="nonnegative"):
-        power_iteration(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        leading_eigenpair(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def test_radius_beyond_float_range_is_data_error():
     a = np.full((31, 31), 1e307)
     np.fill_diagonal(a, 0.0)
     with pytest.raises(DataError, match="exceeds the float range"):
-        power_iteration(a)
+        leading_eigenpair(a)
 
 
 def test_weights_that_underflow_when_scaled_are_data_error():
     # eigvals gives radius 1, but scaling 1e200 into [0.5, 1) turns 1e-200 into 0,
     # which would leave a nilpotent matrix and a radius of 0.
     with pytest.raises(DataError, match="positive weights underflow to 0"):
-        power_iteration(np.array([[0.0, 1e200], [1e-200, 0.0]]))
+        leading_eigenpair(np.array([[0.0, 1e200], [1e-200, 0.0]]))
 
 
 def test_nilpotent_matrix_has_zero_radius_and_exact_pair():
-    lam, v = power_iteration(np.array([[0.0, 7.0], [0.0, 0.0]]))
+    lam, v = leading_eigenpair(np.array([[0.0, 7.0], [0.0, 0.0]]))
     assert lam == 0.0
     assert np.linalg.norm(np.array([[0.0, 7.0], [0.0, 0.0]]) @ v) == 0.0
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stack_errors_name_the_matrix():
+    fine = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
+    huge = np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308))  # radius 2e308
+    with pytest.raises(DataError, match="nonnegative") as excinfo:
+        leading_eigenpair(np.array([fine, fine, -fine]))
+    assert excinfo.value.index == 2
+    with pytest.raises(DataError, match="exceeds the float range") as excinfo:
+        leading_eigenpair(np.array([fine, huge, fine]))
+    assert excinfo.value.index == 1
+
+
+def test_a_matrix_is_left_unchanged_and_a_stack_is_overwritten():
+    a = np.array([[0.0, 3.0], [5.0, 0.0]])
+    stack = np.array([a, 2 * a])
+    lam, v = leading_eigenpair(a)
+    assert np.array_equal(a, [[0.0, 3.0], [5.0, 0.0]])
+    lams, vectors = leading_eigenpair(stack)
+    assert lams.tolist() == [lam, leading_eigenpair(2 * a)[0]]
+    assert np.array_equal(vectors[0], v)
+    assert not np.array_equal(stack[0], a)
 
 
 def test_scaling_invariance_of_leading_pair():
     rng = np.random.default_rng(13)
     for _ in range(30):
         a = rng.random((6, 6))
-        lam, v = power_iteration(a)
+        lam, v = leading_eigenpair(a)
         scale = float(rng.random() * 10 + 0.1)
-        lam_scaled, v_scaled = power_iteration(scale * a)
+        lam_scaled, v_scaled = leading_eigenpair(scale * a)
         assert lam_scaled == pytest.approx(scale * lam, rel=1e-9)
         assert np.max(np.abs(v_scaled - v)) < 1e-9
 
@@ -154,9 +175,9 @@ def test_scaling_invariance_of_leading_pair():
                                     [[0, 3], [5, 0]]], ids=["3-cycle", "2x2"])
 def test_leading_pair_at_extreme_scales(matrix, scale):
     a = np.asarray(matrix, dtype=float)
-    lam, v = power_iteration(a * scale)
+    lam, v = leading_eigenpair(a * scale)
     assert lam == pytest.approx(max(abs(np.linalg.eigvals(a * scale))), rel=1e-8)
-    assert np.max(np.abs(v - power_iteration(a)[1])) < 1e-9
+    assert np.max(np.abs(v - leading_eigenpair(a)[1])) < 1e-9
 
 
 def test_perron_vector_is_nonnegative():
@@ -167,14 +188,14 @@ def test_perron_vector_is_nonnegative():
         a[rng.random((n, n)) < 0.5] = 0.0
         if not a.any():
             a[0, 1] = 1.0
-        _, v = power_iteration(a)
+        _, v = leading_eigenpair(a)
         assert v.min() >= -1e-12
 
 
 def test_power_iteration_is_deterministic():
     a = np.random.default_rng(3).random((8, 8))
-    lam1, v1 = power_iteration(a)
-    lam2, v2 = power_iteration(a)
+    lam1, v1 = leading_eigenpair(a)
+    lam2, v2 = leading_eigenpair(a)
     assert lam1 == lam2
     assert np.array_equal(v1, v2)
 
