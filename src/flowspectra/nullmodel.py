@@ -52,9 +52,29 @@ class NullEnsembleStats:
         return payload
 
 
-def _check_mode(mode: str) -> None:
+def _replicas(snapshot: NetworkSnapshot, seeds: list[int], mode: str) -> np.ndarray:
+    """One shuffled copy of the snapshot's weights per seed (see
+    `shuffle_snapshot`), as a C-contiguous (len(seeds), N, N) float64 stack."""
     if mode not in SHUFFLE_MODES:
         raise DataError(f"unknown shuffle mode {mode!r} (expected one of {SHUFFLE_MODES})")
+    n = snapshot.n_entities
+    positions = np.flatnonzero(snapshot.weights)
+    n_edges = positions.size
+    if n_edges == 0:
+        raise DataError(f"{snapshot.period}: snapshot has no edges to shuffle")
+    values = snapshot.weights.flat[positions]
+    stack = np.zeros((len(seeds), n * n))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if mode == MODE_LINK_SHUFFLE:
+            # Distinct slots in the n(n-1) off-diagonal index space, no rejection
+            # loop; slot row*(n-1) + rest is at flat index slot + row + (rest >= row).
+            slots = rng.choice(n * (n - 1), size=n_edges, replace=False)
+            row, rest = divmod(slots, n - 1)
+            stack[k, slots + row + (rest >= row)] = values
+        else:
+            stack[k, positions] = values[rng.permutation(n_edges)]
+    return stack.reshape(len(seeds), n, n)
 
 
 def shuffle_snapshot(snapshot: NetworkSnapshot, seed: int,
@@ -66,30 +86,10 @@ def shuffle_snapshot(snapshot: NetworkSnapshot, seed: int,
     permutes the weights among the existing edge positions, preserving the
     topology. The same seed yields the identical surrogate.
     """
-    _check_mode(mode)
     if seed < 0:
         raise DataError("seed must be a nonnegative integer")
-    weights = snapshot.weights
-    n = snapshot.n_entities
-    flat_positions = np.flatnonzero(weights)
-    n_edges = flat_positions.size
-    if n_edges == 0:
-        raise DataError(f"{snapshot.period}: snapshot has no edges to shuffle")
-    values = weights.flat[flat_positions]
-
-    rng = np.random.default_rng(seed)
-    shuffled = np.zeros_like(weights)
-    if mode == MODE_LINK_SHUFFLE:
-        # Uniform sample of distinct slots in the n(n-1) off-diagonal index
-        # space; no rejection loop, so dense matrices cost the same.
-        slots = rng.choice(n * (n - 1), size=n_edges, replace=False)
-        rows = slots // (n - 1)
-        rest = slots % (n - 1)
-        cols = rest + (rest >= rows)
-        shuffled[rows, cols] = values
-    else:
-        shuffled.flat[flat_positions] = values[rng.permutation(n_edges)]
-    return NetworkSnapshot(snapshot.period, snapshot.entities, shuffled)
+    return NetworkSnapshot(snapshot.period, snapshot.entities,
+                           _replicas(snapshot, [seed], mode)[0])
 
 
 def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
@@ -99,20 +99,15 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
 
     Replica k shuffles with a sub-seed derived from (seed, k), so replicas
     are independent, order-insensitive, and replayable. All replicas are
-    solved together as one stack. In symmetrized spectrum mode the top
-    eigenvalue of each symmetrized replica is used.
+    written into one stack and solved together; the eigensolver overwrites
+    the stack in place. In symmetrized spectrum mode the top eigenvalue of
+    each symmetrized replica is used.
     """
-    _check_mode(mode)
     if spectrum_mode not in SPECTRUM_MODES:
         raise DataError(f"unknown spectrum mode {spectrum_mode!r}")
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
-    # Replica k is written straight into slice k of one stack, which the
-    # eigensolver then overwrites in place.
-    n = snapshot.n_entities
-    stack = np.empty((n_samples, n, n))
-    for k in range(n_samples):
-        stack[k] = shuffle_snapshot(snapshot, derive_seed(seed, k), mode).weights
+    stack = _replicas(snapshot, [derive_seed(seed, k) for k in range(n_samples)], mode)
     if spectrum_mode == MODE_SYMMETRIZED:
         lambdas = np.linalg.eigvalsh((stack + stack.swapaxes(1, 2)) / 2.0)[:, -1]
     else:

@@ -54,6 +54,13 @@ class PipelineConfig:
     include_lambda_values: bool = False
 
     def __post_init__(self) -> None:
+        for key in ("seed", "null_samples"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not isinstance(self.include_lambda_values, bool):
+            raise ConfigError("include_lambda_values must be true or false, "
+                              f"got {self.include_lambda_values!r}")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.null_samples < 1:

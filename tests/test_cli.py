@@ -191,6 +191,23 @@ def test_config_file_with_cli_override(flows_csv, tmp_path, capsys):
     assert payload["config"]["null_samples"] == 2
 
 
+@pytest.mark.parametrize("values", [
+    {"null_samples": 2.5},
+    {"seed": 1.5},
+    {"seed": True},
+    {"null_samples": True},
+    {"include_lambda_values": "no"},
+    {"include_lambda_values": 1},
+])
+def test_config_file_values_of_the_wrong_type_are_config_errors(flows_csv, tmp_path, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    out = tmp_path / "run"
+    assert main(["timeseries", "--input", str(flows_csv), "--config", str(config),
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_convergence_error_maps_to_exit_2(flows_csv, monkeypatch):
     import flowspectra.cli as cli_module
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from flowspectra import (
     BisMapping,
@@ -99,18 +100,35 @@ def test_zero_amount_records_are_retained():
     assert records.rows()[0].amount == 0.0
 
 
-def test_serialize_round_trip_random_sets():
-    rng = np.random.default_rng(101)
-    codes = ["US", "GB", "JP", "DE", "FR", "CH"]
-    for _ in range(50):
-        rows = []
-        for _ in range(int(rng.integers(0, 30))):
-            a, b = rng.choice(len(codes), size=2, replace=False)
-            period = f"{rng.integers(1978, 2020)}-Q{rng.integers(1, 5)}"
-            rows.append(FlowRecord(period, codes[a], codes[b],
-                                   float(rng.random() * 1e6)))
-        original = FlowRecordSet.from_rows(rows)
-        assert parse_flow_csv(serialize_flow_csv(original)) == original
+PERIODS = st.builds("{:04d}-Q{}".format, st.integers(0, 9999), st.integers(1, 4))
+CODES = st.from_regex(r"[A-Z0-9][A-Z0-9_.\-]{0,6}", fullmatch=True)
+# Edge magnitudes first: zero, the smallest subnormal, a larger subnormal, the
+# smallest normal, 1e308 and the float maximum.
+AMOUNTS = st.sampled_from([0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 1e308,
+                           1.7976931348623157e308]) | st.floats(
+    min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def good_rows(draw):
+    """Valid (period, reporter, counterparty, amount) tuples over a small
+    roster, so codes and periods repeat."""
+    codes = draw(st.lists(CODES, min_size=2, max_size=6, unique=True))
+    periods = draw(st.lists(PERIODS, min_size=1, max_size=4, unique=True))
+    pairs = st.tuples(st.sampled_from(codes), st.sampled_from(codes)).filter(
+        lambda pair: pair[0] != pair[1])
+    return draw(st.lists(st.builds(lambda p, rc, x: (p, *rc, x), st.sampled_from(periods),
+                                   pairs, AMOUNTS), max_size=30))
+
+
+@given(good_rows())
+@example([("2008-Q3", "A_1", "B.2-C", 0.0), ("2008-Q3", "B.2-C", "A_1", 5e-324),
+          ("2009-Q1", "A_1", "B.2-C", 1e308)])
+def test_serialize_round_trip_random_sets(rows):
+    original = FlowRecordSet.from_rows(rows)
+    parsed = parse_flow_csv(serialize_flow_csv(original))
+    assert parsed == original
+    assert parsed.amounts.tobytes() == original.amounts.tobytes()
 
 
 # --- converter ---------------------------------------------------------------
@@ -343,6 +361,35 @@ def test_parse_reports_the_earliest_bad_row():
     with pytest.raises(DataError) as info:
         parse_flow_csv(text)
     assert str(info.value) == "row 3: malformed period label '2008-Q9' (expected YYYY-Qn)"
+
+
+@st.composite
+def hostile_rows(draw):
+    """A row the parser must reject, built around generated codes."""
+    period = draw(PERIODS)
+    reporter, counterparty = draw(st.lists(CODES, min_size=2, max_size=2, unique=True))
+    amount = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "-1"]))
+    return draw(st.sampled_from([
+        f"{period},{reporter},{counterparty},{amount}",
+        f"{period},{reporter},{counterparty}",
+        f"{period},{reporter},{counterparty},1,2",
+        f"{period},{reporter}$,{counterparty},1",
+        f"{period},{reporter},{counterparty} X,1",
+        f"{period[:4]}-Q5,{reporter},{counterparty},1",
+        f"{period},{reporter},{reporter.lower()},1",
+    ]))
+
+
+@given(good_rows(), hostile_rows(), st.data())
+def test_hostile_row_at_any_position_names_its_row(rows, hostile, data):
+    lines = [f"{p},{r},{c},{x!r}" for p, r, c, x in rows]
+    lines.insert(data.draw(st.integers(0, len(lines)), label="position"), hostile)
+    for _ in range(data.draw(st.integers(0, 3), label="blank lines")):
+        lines.insert(data.draw(st.integers(0, len(lines)), label="blank at"), "")
+    row_no = 2 + lines.index(hostile)  # the header is row 1
+    with pytest.raises(DataError) as info:
+        parse_flow_csv("\n".join([HEADER, *lines]) + "\n")
+    assert str(info.value).startswith(f"row {row_no}: ")
 
 
 def test_build_snapshot_sums_duplicates_bitwise_in_row_order():

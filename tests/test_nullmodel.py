@@ -18,6 +18,7 @@ from flowspectra import (
     symmetrize,
     total_volume,
 )
+from flowspectra import nullmodel
 from flowspectra.spectral import MODE_DIRECTED
 
 
@@ -85,6 +86,57 @@ def test_shuffle_preserves_weight_multiset_bitwise(mode):
         assert np.all(np.diagonal(shuffled.weights) == 0)
 
 
+TWO = [[0, 3], [5, 0]]
+SPARSE = [[0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3], [4, 0, 5, 0]]
+DENSE = [[0 if i == j else 5 * i + j + 1 for j in range(5)] for i in range(5)]  # E = n(n-1)
+
+# Surrogates recorded from an earlier release. A change to the draw from
+# default_rng(seed) or to the slot -> (row, col) mapping changes every
+# replica of every run, so it must show up here and be declared.
+PINNED_REPLICAS = [
+    (TWO, MODE_LINK_SHUFFLE, 0, [[0, 3], [5, 0]]),
+    (TWO, MODE_LINK_SHUFFLE, 2, [[0, 5], [3, 0]]),
+    (TWO, MODE_WEIGHT_PERMUTE, 2, [[0, 3], [5, 0]]),
+    (TWO, MODE_WEIGHT_PERMUTE, 3, [[0, 5], [3, 0]]),
+    (SPARSE, MODE_LINK_SHUFFLE, 0, [[0, 0, 0, 3], [4, 0, 0, 1], [5, 0, 0, 0], [2, 0, 0, 0]]),
+    (SPARSE, MODE_LINK_SHUFFLE, 2, [[0, 0, 2, 4], [1, 0, 5, 0], [3, 0, 0, 0], [0, 0, 0, 0]]),
+    (SPARSE, MODE_LINK_SHUFFLE, 3, [[0, 3, 1, 4], [0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 5, 0]]),
+    (SPARSE, MODE_WEIGHT_PERMUTE, 0, [[0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 4], [1, 0, 2, 0]]),
+    (SPARSE, MODE_WEIGHT_PERMUTE, 3, [[0, 5, 0, 0], [0, 0, 3, 0], [0, 0, 0, 2], [4, 0, 1, 0]]),
+    (DENSE, MODE_LINK_SHUFFLE, 0, [[0, 20, 10, 5, 3], [4, 0, 23, 6, 16], [14, 11, 0, 2, 21],
+                                   [17, 12, 22, 0, 15], [9, 8, 24, 18, 0]]),
+    (DENSE, MODE_LINK_SHUFFLE, 3, [[0, 2, 14, 24, 3], [4, 0, 9, 18, 22], [23, 10, 0, 8, 12],
+                                   [6, 11, 17, 0, 21], [16, 15, 20, 5, 0]]),
+    (DENSE, MODE_WEIGHT_PERMUTE, 0, [[0, 6, 24, 9, 4], [17, 0, 21, 5, 15], [14, 11, 0, 2, 16],
+                                     [10, 8, 23, 0, 22], [18, 12, 3, 20, 0]]),
+    (DENSE, MODE_WEIGHT_PERMUTE, 2, [[0, 9, 23, 10, 14], [4, 0, 15, 2, 22], [24, 21, 0, 12, 16],
+                                     [8, 20, 17, 0, 18], [5, 6, 11, 3, 0]]),
+]
+
+
+@pytest.mark.parametrize("matrix, mode, seed, expected", PINNED_REPLICAS)
+def test_replica_stream_is_pinned(matrix, mode, seed, expected):
+    shuffled = shuffle_snapshot(snapshot_of(matrix), seed, mode)
+    assert np.array_equal(shuffled.weights, np.asarray(expected, dtype=float))
+
+
+def test_ensemble_shuffles_without_building_snapshots(monkeypatch):
+    # The replicas go straight into the solver's stack: one edge lookup per
+    # ensemble and no per-replica snapshot (or its validation).
+    snapshot = snapshot_of(SPARSE)
+    expected = null_ensemble(snapshot, 20, seed=4, spectrum_mode=MODE_SYMMETRIZED)
+
+    def no_snapshot(*args, **kwargs):
+        raise AssertionError("null_ensemble built a NetworkSnapshot")
+
+    calls = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(nullmodel, "NetworkSnapshot", no_snapshot)
+    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
+    assert null_ensemble(snapshot, 20, seed=4, spectrum_mode=MODE_SYMMETRIZED) == expected
+    assert len(calls) == 1
+
+
 def test_shuffle_rejects_bad_inputs():
     snapshot = snapshot_of([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DataError, match="mode"):
@@ -149,16 +201,22 @@ def test_core_periphery_structure_beats_null():
     assert lam > stats.q99
 
 
-@pytest.mark.parametrize("spectrum_mode", [MODE_DIRECTED, MODE_SYMMETRIZED])
-def test_each_stacked_replica_equals_its_own_solve(spectrum_mode):
+@pytest.mark.parametrize("spectrum_mode, mode", [
+    # The default null mode keeps the bare spectrum-mode id.
+    pytest.param(spectrum, mode,
+                 id=spectrum if mode == MODE_LINK_SHUFFLE else f"{spectrum}-{mode}")
+    for spectrum in (MODE_DIRECTED, MODE_SYMMETRIZED)
+    for mode in (MODE_LINK_SHUFFLE, MODE_WEIGHT_PERMUTE)
+])
+def test_each_stacked_replica_equals_its_own_solve(spectrum_mode, mode):
     # A replica's lambda must not depend on the other matrices of its stack.
     records = generate_synthetic(6, 25, 100.0, 1.0, 0.1, seed=3)
     snapshot = build_snapshot(records, records.periods[0])
-    small = null_ensemble(snapshot, 13, seed=41, spectrum_mode=spectrum_mode)
-    large = null_ensemble(snapshot, 100, seed=41, spectrum_mode=spectrum_mode)
+    small = null_ensemble(snapshot, 13, seed=41, mode=mode, spectrum_mode=spectrum_mode)
+    large = null_ensemble(snapshot, 100, seed=41, mode=mode, spectrum_mode=spectrum_mode)
     assert small.lambda_values == large.lambda_values[:13]
     for k, lam in enumerate(small.lambda_values):
-        replica = shuffle_snapshot(snapshot, derive_seed(41, k))
+        replica = shuffle_snapshot(snapshot, derive_seed(41, k), mode)
         if spectrum_mode == MODE_SYMMETRIZED:
             alone = float(np.linalg.eigvalsh(symmetrize(replica).values)[-1])
         else:
