@@ -31,6 +31,10 @@ MAX_ITERATIONS = 100_000
 # null replicas of a 2-entity network) give the same lambda bits.
 _POLISH_ITERATIONS = 50
 
+# Power iteration runs in blocks of this many steps and tests convergence
+# once per block, for every step of it; only the cost changes, not the bits.
+_BLOCK_STEPS = 16
+
 _NORM_TOL = 1e-10
 
 
@@ -103,7 +107,7 @@ def _compact(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot products, each one BLAS dot as for a single vector."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def leading_eigenpair(weights: np.ndarray) -> tuple:
@@ -115,8 +119,12 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     periodic (bipartite-like) matrices converging instead of oscillating.
     The start vector is the deterministic uniform 1/sqrt(n). A stack runs
     one iteration over all its matrices; each keeps its own scale, shift,
-    residual test and polish, and leaves the iteration once it converges,
-    so a matrix gets the same bits alone as in any stack.
+    residual test and polish, so a matrix gets the same bits alone as in
+    any stack. The steps run in blocks of 16 that only multiply and
+    normalize; after a block, the tests of all its steps are evaluated at
+    once, and each matrix returns the pair of the first step that passes
+    them, the same bits as testing every step as it runs. Converged
+    matrices leave the iteration at the end of the block.
 
     Returns (spectral radius, nonnegative unit eigenvector) for a matrix,
     and an (R,) array of radii with an (R, N) array of vectors for a stack.
@@ -158,13 +166,16 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
                         f"2**{-int(exponents[k])} into the float range, positive "
                         "weights underflow to 0", index=int(k))
 
+    # A 2-cycle or a positive diagonal forces a positive radius, so only the
+    # matrices without one take the exact nilpotent test.
+    positive = a > 0
+    iterate = (positive & positive.swapaxes(1, 2)).any(axis=(1, 2))
     lambdas = np.zeros(count)
     vectors = np.empty((count, n))
-    active = []
-    for k in range(count):
+    for k in np.flatnonzero(~iterate):
         null_vector = _nilpotent_null_vector(a[k])
         if null_vector is None:
-            active.append(k)
+            iterate[k] = True
         else:
             vectors[k] = null_vector
 
@@ -173,46 +184,62 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
 
     # Only unconverged matrices are iterated: they sit, in order, at the front
     # of the work array, and `active` holds their positions in the stack.
-    active = np.asarray(active, dtype=int)
+    active = np.flatnonzero(iterate)
     b, shift, exponents = _compact(a, active), shift[active], exponents[active]
     v = np.full((len(active), n), 1.0 / math.sqrt(n))
     prev_lam = np.full(len(active), math.inf)
     polish_left = np.full(len(active), _POLISH_ITERATIONS)
     iterations = 0
     while len(active):
-        if iterations == MAX_ITERATIONS:
-            exponent = int(exponents[0])
-            res, lam = math.ldexp(res[0], exponent), math.ldexp(lam[0], exponent)
+        # A block of steps that only multiply and normalize, storing every
+        # iterate; the last block ends at exactly MAX_ITERATIONS.
+        steps = min(_BLOCK_STEPS, MAX_ITERATIONS - iterations)
+        vs = np.empty((steps + 1, len(active), n))
+        ws = np.empty((steps, len(active), n))
+        vs[0] = v
+        for s in range(steps):
+            w = np.matmul(b, vs[s, :, :, None], out=ws[s, :, :, None])[:, :, 0]
+            # ||B v|| >= shift > 0 for unit v >= 0
+            np.divide(w, np.sqrt(_dots(w, w))[:, None], out=vs[s + 1])
+        iterations += steps
+
+        # The tests of every step of the block at once, each as if it ran
+        # at its own step, so a matrix returns the pair of its first `done`.
+        mu = _dots(vs[:steps], ws)
+        lam = mu - shift
+        # For the shifted matrix, A v - lam v == B v - mu v, so the residual
+        # of each candidate pair costs no extra matvec.
+        ws -= mu[:, :, None] * vs[:steps]
+        res = np.sqrt(_dots(ws, ws))
+        passing = res <= RESIDUAL_RTOL * lam
+        repeated = lam == np.concatenate((prev_lam[None], lam[:-1]))
+        polish = polish_left - (np.cumsum(passing, axis=0) - passing)
+        done = passing & (repeated | (polish == 0))
+        finished = done.any(axis=0)
+        if finished.any():
+            at, cols = done.argmax(axis=0)[finished], np.flatnonzero(finished)
+            with np.errstate(over="ignore"):
+                radii = np.ldexp(lam[at, cols], exponents[cols])
+            overflow = np.isinf(radii)
+            if overflow.any():
+                # The matrix that finishes first; on a tie, the first in the stack.
+                k = active[cols[overflow][np.argmin(at[overflow])]]
+                raise DataError("spectral radius exceeds the float range", index=int(k))
+            lambdas[active[cols]] = radii
+            vectors[active[cols]] = vs[at, cols]
+        keep = np.flatnonzero(~finished)
+        if iterations == MAX_ITERATIONS and len(keep):
+            k, exponent = keep[0], int(exponents[keep[0]])
+            res, lam = math.ldexp(res[-1, k], exponent), math.ldexp(lam[-1, k], exponent)
             raise ConvergenceError(
                 f"power iteration did not converge within {MAX_ITERATIONS} iterations "
                 f"(residual {res:.3e}, lambda {lam:.6e})",
-                residual=res, iterations=MAX_ITERATIONS, index=int(active[0]),
+                residual=res, iterations=MAX_ITERATIONS, index=int(active[k]),
             )
-        iterations += 1
-        w = np.matmul(b, v[:, :, None])[:, :, 0]
-        mu = _dots(v, w)
-        lam = mu - shift
-        # For the shifted matrix, A v - lam v == B v - mu v, so the residual
-        # of the current candidate pair costs no extra matvec.
-        r = w - mu[:, None] * v
-        res = np.sqrt(_dots(r, r))
-        passing = res <= RESIDUAL_RTOL * lam
-        done = passing & ((lam == prev_lam) | (polish_left == 0))
-        if done.any():
-            with np.errstate(over="ignore"):
-                radii = np.ldexp(lam[done], exponents[done])
-            for k in active[done][np.isinf(radii)]:
-                raise DataError("spectral radius exceeds the float range", index=int(k))
-            lambdas[active[done]] = radii
-            vectors[active[done]] = v[done]
-            keep = np.flatnonzero(~done)
-            b = _compact(b, keep)
-            active, shift, exponents = active[keep], shift[keep], exponents[keep]
-            lam, res, passing = lam[keep], res[keep], passing[keep]
-            w, polish_left = w[keep], polish_left[keep]
-        polish_left -= passing
-        prev_lam = lam
-        v = w / np.sqrt(_dots(w, w))[:, None]  # ||B v|| >= shift > 0 for unit v >= 0
+        b = _compact(b, keep)
+        active, shift, exponents = active[keep], shift[keep], exponents[keep]
+        v, prev_lam = vs[steps, keep], lam[-1, keep]
+        polish_left = polish[-1, keep] - passing[-1, keep]
     return lambdas, vectors
 
 

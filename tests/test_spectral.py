@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowspectra import (
+    ConvergenceError,
     DataError,
     NetworkSnapshot,
     SymmetricMatrix,
@@ -12,6 +13,7 @@ from flowspectra import (
     leading_eigenpair,
     mean_ipr,
     participation_percent,
+    spectral,
 )
 
 
@@ -146,6 +148,75 @@ def test_stack_errors_name_the_matrix():
     with pytest.raises(DataError, match="exceeds the float range") as excinfo:
         leading_eigenpair(np.array([fine, huge, fine]))
     assert excinfo.value.index == 1
+
+
+# Two 2x2 matrices whose radius is past the float maximum. Their largest
+# entries scale to the same power of two, so they take the steps they take at
+# unit scale: the first returns its pair at step 11, the second at step 2.
+LATE_OVERFLOW = np.array([[1.0, 1.7], [1.7, 0.1]]) * 2.0 ** 1023
+EARLY_OVERFLOW = np.array([[1.2, 1.5], [1.5, 1.2]]) * 2.0 ** 1023
+
+
+@pytest.mark.parametrize("stack, index", [
+    ([LATE_OVERFLOW, EARLY_OVERFLOW], 1),
+    ([EARLY_OVERFLOW, LATE_OVERFLOW], 0),
+    ([LATE_OVERFLOW, EARLY_OVERFLOW, EARLY_OVERFLOW], 1),
+])
+def test_overflow_error_names_the_matrix_that_finishes_first(stack, index):
+    # On a tie in step, the first in the stack is named.
+    with pytest.raises(DataError, match="exceeds the float range") as excinfo:
+        leading_eigenpair(np.array(stack))
+    assert excinfo.value.index == index
+
+
+FAST = np.array([[1.0, 0.5], [0.5, 1.0]])  # finishes at step 2
+SLOW = np.array([[1.7, 0.2], [0.3, 1.5]])  # needs 139 steps
+SLOWER_LAST = np.array([[1.0, 1.5], [1.5, 1.0]])  # needs 51 steps
+
+
+@pytest.mark.parametrize("stack", [[FAST, SLOW, FAST], [FAST, SLOW, FAST, SLOWER_LAST]])
+def test_iteration_cap_off_the_block_grid(monkeypatch, stack):
+    # The error names the first unconverged matrix, with the residual and
+    # message given by the solver that tested every step as it ran.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 37)
+    with pytest.raises(ConvergenceError) as excinfo:
+        leading_eigenpair(np.array(stack))
+    error = excinfo.value
+    assert (error.iterations, error.index) == (37, 1)
+    assert error.residual == 2.904610948680596e-05
+    assert str(error) == ("power iteration did not converge within 37 iterations "
+                          "(residual 2.905e-05, lambda 1.864570e+00)")
+
+
+@pytest.mark.parametrize("block_steps", [1, 5])
+def test_block_length_does_not_change_the_bits(monkeypatch, block_steps):
+    rng = np.random.default_rng(12)
+    stack = rng.random((30, 9, 9)) * (rng.random((30, 9, 9)) < 0.3)
+    stack[:, 0, 1] = 1.0
+    expected = leading_eigenpair(stack.copy())
+    monkeypatch.setattr(spectral, "_BLOCK_STEPS", block_steps)
+    lams, vectors = leading_eigenpair(stack)
+    assert np.array_equal(lams, expected[0])
+    assert np.array_equal(vectors, expected[1])
+
+
+def test_only_matrices_without_a_two_cycle_take_the_nilpotent_test(monkeypatch):
+    tested, real = [], spectral._nilpotent_null_vector
+
+    def recording(a):
+        tested.append(a.copy())
+        return real(a)
+
+    monkeypatch.setattr(spectral, "_nilpotent_null_vector", recording)
+    two_cycle = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    loop = np.diag([0.0, 0.0, 3.0])
+    chain = np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 4.0], [0.0, 0.0, 0.0]])
+    three_cycle = np.roll(np.eye(3), 1, axis=1)
+    lams, vectors = leading_eigenpair(np.array([two_cycle, chain, loop, three_cycle]))
+    assert [np.flatnonzero(a).tolist() for a in tested] == [[1, 5], [1, 5, 6]]
+    assert lams[1] == 0.0
+    assert np.linalg.norm(chain @ vectors[1]) == 0.0
+    assert lams[[0, 2, 3]] == pytest.approx([math.sqrt(2.0), 3.0, 1.0])
 
 
 def test_a_matrix_is_left_unchanged_and_a_stack_is_overwritten():
