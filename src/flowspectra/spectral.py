@@ -25,12 +25,6 @@ SPECTRUM_MODES = (MODE_DIRECTED, MODE_SYMMETRIZED)
 RESIDUAL_RTOL = 1e-12
 MAX_ITERATIONS = 100_000
 
-# A pair that passes the residual test is returned only once lambda repeats
-# exactly or after this many more passing pairs. Driving lambda to its
-# floating-point fixed point is what makes relabelled matrices (such as the
-# null replicas of a 2-entity network) give the same lambda bits.
-_POLISH_ITERATIONS = 50
-
 # Power iteration runs in blocks of this many steps and tests convergence
 # once per block, for every step of it; only the cost changes, not the bits.
 _BLOCK_STEPS = 16
@@ -114,17 +108,18 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     """Dominant eigenpair of a nonnegative (N, N) matrix, or of each matrix
     of an (R, N, N) stack.
 
-    Power iteration with a diagonal shift of half the largest row sum, which
-    leaves the spectral radius and its eigenvector unchanged but keeps
-    periodic (bipartite-like) matrices converging instead of oscillating.
-    The start vector is the deterministic uniform 1/sqrt(n). A stack runs
-    one iteration over all its matrices; each keeps its own scale, shift,
-    residual test and polish, so a matrix gets the same bits alone as in
-    any stack. The steps run in blocks of 16 that only multiply and
-    normalize; after a block, the tests of all its steps are evaluated at
-    once, and each matrix returns the pair of the first step that passes
-    them, the same bits as testing every step as it runs. Converged
-    matrices leave the iteration at the end of the block.
+    Power iteration with a diagonal shift of half the mean nonzero row sum,
+    which leaves the spectral radius and its eigenvector unchanged but keeps
+    periodic (bipartite-like) matrices converging instead of oscillating, on
+    the entities in a canonical order (by row max, then column max) that
+    gives relabelled matrices with distinct keys the same bits. The start
+    vector is the uniform 1/sqrt(n). A stack runs one iteration over all its
+    matrices; each keeps its own order, scale, shift and residual test, so a
+    matrix gets the same bits alone as in any stack. The steps run in blocks
+    of 16 that only multiply and normalize; after a block, the tests of all
+    its steps are evaluated at once, and each matrix returns the pair of the
+    first step that passes, the same bits as testing every step as it runs.
+    Converged matrices leave the iteration at the end of the block.
 
     Returns (spectral radius, nonnegative unit eigenvector) for a matrix,
     and an (R,) array of radii with an (R, N) array of vectors for a stack.
@@ -166,6 +161,13 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
                         f"2**{-int(exponents[k])} into the float range, positive "
                         "weights underflow to 0", index=int(k))
 
+    # Entity i of canonical matrix k is entity order[k, i]; a max is exact, so
+    # relabelling cannot move a key. Mode "clip" does not buffer `out`.
+    order, rows = np.lexsort((a.max(axis=1), a.max(axis=2))), np.empty((n, n))
+    for k in range(count):
+        np.take(a[k], order[k], axis=0, out=rows, mode="clip")
+        np.take(rows, order[k], axis=1, out=a[k], mode="clip")
+
     # A 2-cycle or a positive diagonal forces a positive radius, so only the
     # matrices without one take the exact nilpotent test.
     positive = a > 0
@@ -179,7 +181,10 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
         else:
             vectors[k] = null_vector
 
-    shift = 0.5 * a.sum(axis=2).max(axis=1)
+    # A smaller shift converges faster until it nears 0, where a periodic
+    # matrix's -rho takes over; so rows that sum to 0 stay out of the mean.
+    row_sums = a.sum(axis=2)
+    shift = 0.5 * row_sums.sum(axis=1) / np.count_nonzero(row_sums, axis=1)
     flat[:, ::n + 1] += shift[:, None]  # B = A + shift I, in place
 
     # Only unconverged matrices are iterated: they sit, in order, at the front
@@ -187,8 +192,6 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     active = np.flatnonzero(iterate)
     b, shift, exponents = _compact(a, active), shift[active], exponents[active]
     v = np.full((len(active), n), 1.0 / math.sqrt(n))
-    prev_lam = np.full(len(active), math.inf)
-    polish_left = np.full(len(active), _POLISH_ITERATIONS)
     iterations = 0
     while len(active):
         # A block of steps that only multiply and normalize, storing every
@@ -204,7 +207,7 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
         iterations += steps
 
         # The tests of every step of the block at once, each as if it ran
-        # at its own step, so a matrix returns the pair of its first `done`.
+        # at its own step, so a matrix returns the pair of its first pass.
         mu = _dots(vs[:steps], ws)
         lam = mu - shift
         # For the shifted matrix, A v - lam v == B v - mu v, so the residual
@@ -212,12 +215,9 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
         ws -= mu[:, :, None] * vs[:steps]
         res = np.sqrt(_dots(ws, ws))
         passing = res <= RESIDUAL_RTOL * lam
-        repeated = lam == np.concatenate((prev_lam[None], lam[:-1]))
-        polish = polish_left - (np.cumsum(passing, axis=0) - passing)
-        done = passing & (repeated | (polish == 0))
-        finished = done.any(axis=0)
+        finished = passing.any(axis=0)
         if finished.any():
-            at, cols = done.argmax(axis=0)[finished], np.flatnonzero(finished)
+            at, cols = passing.argmax(axis=0)[finished], np.flatnonzero(finished)
             with np.errstate(over="ignore"):
                 radii = np.ldexp(lam[at, cols], exponents[cols])
             overflow = np.isinf(radii)
@@ -229,8 +229,9 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
             vectors[active[cols]] = vs[at, cols]
         keep = np.flatnonzero(~finished)
         if iterations == MAX_ITERATIONS and len(keep):
-            k, exponent = keep[0], int(exponents[keep[0]])
-            res, lam = math.ldexp(res[-1, k], exponent), math.ldexp(lam[-1, k], exponent)
+            k = keep[0]
+            with np.errstate(over="ignore"):  # scaled back, it may pass the float max
+                res, lam = np.ldexp([res[-1, k], lam[-1, k]], exponents[k]).tolist()
             raise ConvergenceError(
                 f"power iteration did not converge within {MAX_ITERATIONS} iterations "
                 f"(residual {res:.3e}, lambda {lam:.6e})",
@@ -238,9 +239,8 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
             )
         b = _compact(b, keep)
         active, shift, exponents = active[keep], shift[keep], exponents[keep]
-        v, prev_lam = vs[steps, keep], lam[-1, keep]
-        polish_left = polish[-1, keep] - passing[-1, keep]
-    return lambdas, vectors
+        v = vs[steps, keep]
+    return lambdas, np.take_along_axis(vectors, np.argsort(order, axis=1), axis=1)
 
 
 def _fix_sign(vector: np.ndarray) -> np.ndarray:

@@ -152,7 +152,7 @@ def test_stack_errors_name_the_matrix():
 
 # Two 2x2 matrices whose radius is past the float maximum. Their largest
 # entries scale to the same power of two, so they take the steps they take at
-# unit scale: the first returns its pair at step 11, the second at step 2.
+# unit scale: the first returns its pair at step 9, the second at step 1.
 LATE_OVERFLOW = np.array([[1.0, 1.7], [1.7, 0.1]]) * 2.0 ** 1023
 EARLY_OVERFLOW = np.array([[1.2, 1.5], [1.5, 1.2]]) * 2.0 ** 1023
 
@@ -169,23 +169,44 @@ def test_overflow_error_names_the_matrix_that_finishes_first(stack, index):
     assert excinfo.value.index == index
 
 
-FAST = np.array([[1.0, 0.5], [0.5, 1.0]])  # finishes at step 2
-SLOW = np.array([[1.7, 0.2], [0.3, 1.5]])  # needs 139 steps
-SLOWER_LAST = np.array([[1.0, 1.5], [1.5, 1.0]])  # needs 51 steps
+FAST = np.array([[1.0, 0.5], [0.5, 1.0]])  # finishes at step 1
+SLOW = np.array([[1.7, 0.2], [0.3, 1.5]])  # needs 116 steps
+SLOWER_LAST = np.array([[1.0, 0.5], [0.2, 1.0]])  # needs 68 steps
 
 
 @pytest.mark.parametrize("stack", [[FAST, SLOW, FAST], [FAST, SLOW, FAST, SLOWER_LAST]])
 def test_iteration_cap_off_the_block_grid(monkeypatch, stack):
     # The error names the first unconverged matrix, with the residual and
-    # message given by the solver that tested every step as it ran.
+    # message given by the solver that tested every step as it ran
+    # (`reference_power_iteration` in test_solver_adversarial.py).
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 37)
     with pytest.raises(ConvergenceError) as excinfo:
         leading_eigenpair(np.array(stack))
     error = excinfo.value
     assert (error.iterations, error.index) == (37, 1)
-    assert error.residual == 2.904610948680596e-05
+    assert error.residual == 2.6953391696898614e-05
     assert str(error) == ("power iteration did not converge within 37 iterations "
-                          "(residual 2.905e-05, lambda 1.864570e+00)")
+                          "(residual 2.695e-05, lambda 1.864570e+00)")
+
+
+def test_iteration_cap_with_lambda_past_the_float_range(monkeypatch):
+    # Scaled back, the unconverged lambda (and its residual) pass the float
+    # maximum; the error reports them as inf and still names the matrix.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1)
+    huge = np.array([[1.7, 1.7], [0.3, 1.5]]) * 1e308
+    with pytest.raises(ConvergenceError, match="lambda inf") as excinfo:
+        leading_eigenpair(np.array([FAST, huge]))
+    assert (excinfo.value.iterations, excinfo.value.index) == (1, 1)
+
+
+@pytest.mark.parametrize("matrix", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.5], [1.5, 1.0]]])
+def test_uniform_eigenvector_returns_at_the_first_step(monkeypatch, matrix):
+    # The start vector is already the eigenvector, so the first pair passes.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1)
+    a = np.array(matrix)
+    lam, v = leading_eigenpair(a)
+    assert lam == pytest.approx(max(abs(np.linalg.eigvals(a))), rel=1e-15)
+    assert v == pytest.approx(np.full(2, 1 / math.sqrt(2)), rel=1e-15)
 
 
 @pytest.mark.parametrize("block_steps", [1, 5])
@@ -213,7 +234,8 @@ def test_only_matrices_without_a_two_cycle_take_the_nilpotent_test(monkeypatch):
     chain = np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 4.0], [0.0, 0.0, 0.0]])
     three_cycle = np.roll(np.eye(3), 1, axis=1)
     lams, vectors = leading_eigenpair(np.array([two_cycle, chain, loop, three_cycle]))
-    assert [np.flatnonzero(a).tolist() for a in tested] == [[1, 5], [1, 5, 6]]
+    # The test sees each matrix with its entities in the canonical order.
+    assert [np.flatnonzero(a).tolist() for a in tested] == [[5, 6], [1, 5, 6]]
     assert lams[1] == 0.0
     assert np.linalg.norm(chain @ vectors[1]) == 0.0
     assert lams[[0, 2, 3]] == pytest.approx([math.sqrt(2.0), 3.0, 1.0])
