@@ -28,7 +28,6 @@ from .ingest import (
 )
 from .network import (
     NetworkSnapshot,
-    SymmetricMatrix,
     build_snapshot,
     density,
     snapshot_to_dot,
@@ -79,7 +78,6 @@ __all__ = [
     "Merge",
     "NetworkSnapshot",
     "PipelineConfig",
-    "SymmetricMatrix",
     "agglomerate",
     "analyze_period",
     "build_snapshot",

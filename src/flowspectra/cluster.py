@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .network import SymmetricMatrix
 
 LINKAGES = ("average", "single", "complete")
 
@@ -50,13 +49,18 @@ class Dendrogram:
         return out
 
 
-def distance_matrix(sym: SymmetricMatrix) -> SymmetricMatrix:
+def distance_matrix(sym: np.ndarray) -> np.ndarray:
     """Weight-based distances: d(i, j) = 1 - s(i, j) / max off-diagonal s.
 
-    Entries lie in [0, 1]; the strongest pair has distance 0 and an absent
-    relation distance 1. Invariant under uniform weight scaling.
+    `sym` is an exactly symmetric (N, N) weight matrix, and so is the
+    result. Entries lie in [0, 1]; the strongest pair has distance 0 and an
+    absent relation distance 1. Invariant under uniform weight scaling.
     """
-    values = sym.values
+    values = np.asarray(sym, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
+        raise DataError(f"expected a nonempty square matrix, got shape {values.shape}")
+    if not np.array_equal(values, values.T):
+        raise DataError("matrix is not exactly symmetric")
     if values.min() < 0:
         raise DataError("distance matrix needs nonnegative weights")
     off_diag = values.copy()
@@ -66,12 +70,11 @@ def distance_matrix(sym: SymmetricMatrix) -> SymmetricMatrix:
         raise DataError("all-zero matrix has no distance structure")
     distances = 1.0 - values / s_max
     np.fill_diagonal(distances, 0.0)
-    return SymmetricMatrix(sym.entities, distances)
+    return distances
 
 
-def agglomerate(distances: SymmetricMatrix | np.ndarray,
-                linkage: str = "average") -> Dendrogram:
-    """Agglomerative clustering of a distance matrix.
+def agglomerate(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
+    """Agglomerative clustering of an (N, N) distance matrix.
 
     Only the upper triangle is read, and it must be finite. The pair of
     clusters at minimal linkage distance merges first; ties go to the
@@ -80,7 +83,7 @@ def agglomerate(distances: SymmetricMatrix | np.ndarray,
     """
     if linkage not in LINKAGES:
         raise DataError(f"unknown linkage {linkage!r} (expected one of {LINKAGES})")
-    values = distances.values if isinstance(distances, SymmetricMatrix) else np.asarray(distances, dtype=float)
+    values = np.asarray(distances, dtype=float)
     n = values.shape[0]
     if values.shape != (n, n) or n < 2:
         raise DataError("need a square distance matrix over at least 2 items")
@@ -146,28 +149,23 @@ def leaf_order(dendrogram: Dendrogram) -> list[int]:
     return order
 
 
-def dendrogram_to_json(dendrogram: Dendrogram,
-                       entities: tuple[str, ...] | None = None) -> dict:
+def dendrogram_to_json(dendrogram: Dendrogram, entities: tuple[str, ...]) -> dict:
     order = leaf_order(dendrogram)
-    payload: dict = {
+    return {
         "n_leaves": dendrogram.n_leaves,
         "merges": [
             {"left": m.left, "right": m.right, "height": m.height, "id": m.id}
             for m in dendrogram.merges
         ],
         "leaf_order": order,
+        "entities": list(entities),
+        "ordered_entities": [entities[i] for i in order],
     }
-    if entities is not None:
-        payload["entities"] = list(entities)
-        payload["ordered_entities"] = [entities[i] for i in order]
-    return payload
 
 
-def to_newick(dendrogram: Dendrogram, labels: tuple[str, ...] | None = None) -> str:
+def to_newick(dendrogram: Dendrogram, labels: tuple[str, ...]) -> str:
     """Newick string with branch lengths equal to height differences."""
     n = dendrogram.n_leaves
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
     if len(labels) != n:
         raise DataError(f"expected {n} labels, got {len(labels)}")
     children = {m.id: (m.left, m.right) for m in dendrogram.merges}

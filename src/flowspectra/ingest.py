@@ -143,15 +143,14 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
                          np.array(amounts, dtype=float))
 
 
-def parse_flow_csv(source: str | Iterable[str]) -> FlowRecordSet:
+def parse_flow_csv(source: str) -> FlowRecordSet:
     """Parse flow CSV text into a FlowRecordSet.
 
     Expects the header ``period,reporter,counterparty,amount``; entity codes
     are trimmed and uppercased, row order is preserved. Errors carry the
     1-based row number (the header is row 1); blank lines count as rows.
     """
-    lines: Iterable[str] = io.StringIO(source) if isinstance(source, str) else source
-    reader = csv.reader(lines)
+    reader = csv.reader(io.StringIO(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -329,7 +328,10 @@ def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
             continue
 
         key = (period, reporter, counterparty)
-        totals[key] = totals.get(key, 0.0) + value
+        total = totals[key] = totals.get(key, 0.0) + value
+        if total == math.inf:
+            raise DataError(f"{period}: duplicate {reporter} -> {counterparty} "
+                            "amounts sum past the float maximum")
 
     if not totals:
         raise DataError("no rows survived filtering and conversion")

@@ -62,29 +62,6 @@ class NetworkSnapshot:
         return int(np.count_nonzero(self.weights))
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricMatrix:
-    """A labelled real symmetric matrix (exact equality across the diagonal)."""
-
-    entities: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        entities = tuple(self.entities)
-        values = np.ascontiguousarray(self.values, dtype=float)
-        object.__setattr__(self, "entities", entities)
-        object.__setattr__(self, "values", values)
-        n = len(entities)
-        if values.shape != (n, n):
-            raise DataError(f"values must be {n}x{n}, got {values.shape}")
-        if not np.array_equal(values, values.T):
-            raise DataError("matrix is not exactly symmetric")
-
-    @property
-    def n_entities(self) -> int:
-        return len(self.entities)
-
-
 def build_snapshot(records: FlowRecordSet, period: str) -> NetworkSnapshot:
     """Aggregate one period's records into an adjacency matrix.
 
@@ -97,15 +74,19 @@ def build_snapshot(records: FlowRecordSet, period: str) -> NetworkSnapshot:
     rows = records.period_index == records.periods.index(period)
     weights = np.zeros((len(records.entities),) * 2)
     # Unbuffered and in row order, so duplicates sum as a Python loop would.
-    np.add.at(weights, (records.reporter_index[rows], records.counterparty_index[rows]),
-              records.amounts[rows])
+    with np.errstate(over="ignore"):
+        np.add.at(weights, (records.reporter_index[rows], records.counterparty_index[rows]),
+                  records.amounts[rows])
+    for i, j in np.argwhere(np.isinf(weights))[:1]:
+        raise DataError(f"{period}: duplicate {records.entities[i]} -> {records.entities[j]} "
+                        "amounts sum past the float maximum")
     return NetworkSnapshot(period, records.entities, weights)
 
 
-def symmetrize(snapshot: NetworkSnapshot) -> SymmetricMatrix:
-    """Return (W + W^T) / 2, the symmetric matrix with the full real spectrum."""
-    values = (snapshot.weights + snapshot.weights.T) / 2.0
-    return SymmetricMatrix(snapshot.entities, values)
+def symmetrize(snapshot: NetworkSnapshot) -> np.ndarray:
+    """Return (W + W^T) / 2 as an (N, N) float array: the exactly symmetric
+    matrix with the full real spectrum, in the snapshot's entity order."""
+    return (snapshot.weights + snapshot.weights.T) / 2.0
 
 
 def total_volume(snapshot: NetworkSnapshot) -> float:

@@ -13,6 +13,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigError, DataError, FlowspectraError
 from .ingest import FlowRecordSet, derive_seed, serialize_flow_csv
 from .network import (
@@ -94,10 +96,7 @@ def config_from_sources(file_values: dict[str, Any] | None = None,
             raise ConfigError(f"unknown config key {key!r}")
         if value is not None:
             merged[key] = value
-    try:
-        return PipelineConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return PipelineConfig(**merged)
 
 
 @dataclass(frozen=True)
@@ -152,9 +151,12 @@ def analyze_period(records: FlowRecordSet, period: str,
     null_seed = derive_seed(config.seed, records.periods.index(period))
 
     try:
-        summary = full_spectrum(symmetrize(snapshot))
+        sym = symmetrize(snapshot)
+        summary = full_spectrum(sym)
         if config.spectrum_mode == MODE_SYMMETRIZED:
-            lam, market_mode = summary.lambda_max, summary.market_mode
+            # The null's eigvalsh, not eigh's lambda (which may differ in the
+            # last bits), so a replica equal to the network has the same lambda.
+            lam, market_mode = float(np.linalg.eigvalsh(sym)[-1]), summary.market_mode
         else:
             lam, market_mode = leading_eigenpair(snapshot.weights)
         stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode,
@@ -284,8 +286,8 @@ def timeseries_to_json(result: TimeSeriesResult) -> dict:
     }
 
 
-def timeseries_from_json(source: str | dict) -> TimeSeriesResult:
-    obj = json.loads(source) if isinstance(source, str) else source
+def timeseries_from_json(source: str) -> TimeSeriesResult:
+    obj = json.loads(source)
     return TimeSeriesResult(
         results=tuple(_period_from_json(entry) for entry in obj["periods"]),
         fingerprint=obj["fingerprint"],

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .network import SymmetricMatrix
 
 MODE_DIRECTED = "directed-perron"
 MODE_SYMMETRIZED = "symmetrized"
@@ -243,19 +242,21 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     return lambdas, np.take_along_axis(vectors, np.argsort(order, axis=1), axis=1)
 
 
-def _fix_sign(vector: np.ndarray) -> np.ndarray:
-    """Make the component of largest absolute value positive (deterministic)."""
-    pivot = int(np.argmax(np.abs(vector)))
-    return -vector if vector[pivot] < 0 else vector
-
-
-def full_spectrum(sym: SymmetricMatrix) -> SpectralSummary:
-    """All eigenvalues (descending) and orthonormal eigenvectors of a
-    symmetric matrix, with per-eigenvector inverse participation ratios."""
-    values, basis = np.linalg.eigh(sym.values)
+def full_spectrum(sym: np.ndarray) -> SpectralSummary:
+    """All eigenvalues (descending) and orthonormal eigenvectors of an exactly
+    symmetric (N, N) matrix, with per-eigenvector inverse participation ratios.
+    Each vector's component of largest |value| (the first on a tie) is positive."""
+    a = np.asarray(sym, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DataError(f"expected a nonempty square matrix, got shape {a.shape}")
+    if not np.array_equal(a, a.T):
+        raise DataError("matrix is not exactly symmetric")
+    values, basis = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
     eigenvalues = values[order]
-    eigenvectors = np.array([_fix_sign(basis[:, k]) for k in order])
+    eigenvectors = basis.T[order]
+    pivots = np.abs(eigenvectors).argmax(axis=1)
+    eigenvectors[eigenvectors[np.arange(len(order)), pivots] < 0] *= -1.0
     iprs = 1.0 / np.sum(eigenvectors ** 4, axis=1)
     return SpectralSummary(
         eigenvalues=eigenvalues,

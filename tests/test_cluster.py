@@ -7,7 +7,6 @@ from flowspectra import (
     DataError,
     Dendrogram,
     Merge,
-    SymmetricMatrix,
     agglomerate,
     dendrogram_to_json,
     distance_matrix,
@@ -16,11 +15,8 @@ from flowspectra import (
 )
 
 
-def symmetric_of(matrix, names=None):
-    values = np.asarray(matrix, dtype=float)
-    if names is None:
-        names = tuple(f"E{i:02d}" for i in range(values.shape[0]))
-    return SymmetricMatrix(names, values)
+def symmetric_of(matrix):
+    return np.asarray(matrix, dtype=float)
 
 
 THREE_NODE = np.array([
@@ -32,16 +28,15 @@ THREE_NODE = np.array([
 
 def test_distance_single_pair_is_zero():
     distances = distance_matrix(symmetric_of([[0.0, 4.0], [4.0, 0.0]]))
-    assert distances.values.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert distances.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_distance_linear_rescale():
-    weights = symmetric_of([[0.0, 4.0, 2.0], [4.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
-                           names=("A", "B", "C"))
+    weights = symmetric_of([[0.0, 4.0, 2.0], [4.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     distances = distance_matrix(weights)
-    assert distances.values[0, 1] == 0.0
-    assert distances.values[0, 2] == 0.5
-    assert distances.values[1, 2] == 1.0
+    assert distances[0, 1] == 0.0
+    assert distances[0, 2] == 0.5
+    assert distances[1, 2] == 1.0
 
 
 def test_distance_scale_invariance():
@@ -51,7 +46,7 @@ def test_distance_scale_invariance():
     np.fill_diagonal(weights, 0.0)
     base = distance_matrix(symmetric_of(weights))
     scaled = distance_matrix(symmetric_of(weights * 37.5))
-    assert np.allclose(base.values, scaled.values, atol=1e-12)
+    assert np.allclose(base, scaled, atol=1e-12)
 
 
 def test_distance_rejects_zero_matrix():

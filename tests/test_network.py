@@ -72,13 +72,13 @@ def test_snapshot_invariants_reject_bad_matrices():
 def test_symmetrize_examples():
     snapshot = build_snapshot(two_node_records(), "2008-Q3")
     sym = symmetrize(snapshot)
-    assert sym.values.tolist() == [[0.0, 4.0], [4.0, 0.0]]
+    assert sym.tolist() == [[0.0, 4.0], [4.0, 0.0]]
 
     already = NetworkSnapshot("2008-Q3", ("A", "B"), np.array([[0.0, 2.0], [2.0, 0.0]]))
-    assert np.array_equal(symmetrize(already).values, already.weights)
+    assert np.array_equal(symmetrize(already), already.weights)
 
     zero = NetworkSnapshot("2008-Q3", ("A", "B"), np.zeros((2, 2)))
-    assert np.array_equal(symmetrize(zero).values, np.zeros((2, 2)))
+    assert np.array_equal(symmetrize(zero), np.zeros((2, 2)))
 
 
 def test_symmetrize_preserves_total_volume():
@@ -88,7 +88,7 @@ def test_symmetrize_preserves_total_volume():
         weights = rng.random((n, n)) * 100
         np.fill_diagonal(weights, 0.0)
         snapshot = NetworkSnapshot("2000-Q1", tuple(f"E{i:02d}" for i in range(n)), weights)
-        assert float(symmetrize(snapshot).values.sum()) == pytest.approx(
+        assert float(symmetrize(snapshot).sum()) == pytest.approx(
             total_volume(snapshot), rel=1e-12)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flowspectra import (
+    BisMapping,
     ConfigError,
     ConvergenceError,
     DataError,
@@ -18,6 +19,7 @@ from flowspectra import (
     analyze_period,
     build_snapshot,
     config_from_sources,
+    convert_bis_lbs,
     export,
     generate_synthetic_series,
     ipr,
@@ -82,7 +84,21 @@ def test_analyze_symmetrized_mode():
     # Every two-node replica symmetrizes to the same matrix, so the null
     # holds the same eigenvalue and the gap vanishes.
     assert result.null_stats.mean == pytest.approx(4.0, rel=1e-10)
-    assert abs(result.gap) <= 1e-12 * result.lambda_max
+    assert result.gap == 0.0
+
+
+def test_symmetrized_gap_vanishes_when_every_replica_equals_the_network():
+    # Permuting equal weights leaves the matrix as it is, so lambda must come
+    # from the same eigensolver as the null's to give a gap of exactly 0.
+    config = PipelineConfig(null_samples=5, null_mode=MODE_WEIGHT_PERMUTE,
+                            spectrum_mode=MODE_SYMMETRIZED)
+    for seed in range(10):
+        links = np.random.default_rng(seed).random((12, 12)) < 0.3
+        np.fill_diagonal(links, False)
+        records = FlowRecordSet.from_rows(("2008-Q3", f"E{i:02d}", f"E{j:02d}", 2.5)
+                                          for i, j in zip(*np.nonzero(links)))
+        result = analyze_period(records, "2008-Q3", config)
+        assert result.gap == 0.0, seed
 
 
 def test_analyze_tiny_amounts_keep_a_positive_radius():
@@ -191,6 +207,26 @@ def test_timeseries_reports_overflowing_period_as_failure():
     assert result.periods == ("2008-Q2",)
     assert [period for period, _ in result.failures] == ["2008-Q1"]
     assert "total volume overflows" in result.failures[0][1]
+
+
+def test_timeseries_reports_duplicates_summing_past_the_float_maximum():
+    records = parse_flow_csv(f"{HEADER}\n2008-Q3,US,GB,1e308\n2008-Q3,US,GB,1e308\n"
+                             "2008-Q4,US,GB,1\n2008-Q4,GB,US,2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_timeseries(records, FAST)
+    assert result.periods == ("2008-Q4",)
+    assert result.failures == (
+        ("2008-Q3", "2008-Q3: duplicate US -> GB amounts sum past the float maximum"),)
+
+
+def test_converter_reports_duplicates_summing_past_the_float_maximum():
+    mapping = BisMapping(period="TIME_PERIOD", reporter="REP", counterparty="CP",
+                         value="OBS_VALUE")
+    row = {"TIME_PERIOD": "2008-Q3", "REP": "US", "CP": "GB", "OBS_VALUE": "1e308"}
+    with pytest.raises(DataError, match="^2008-Q3: duplicate US -> GB amounts sum "
+                                        "past the float maximum$"):
+        convert_bis_lbs([row, row], mapping)
 
 
 def test_timeseries_gap_is_finite_everywhere():

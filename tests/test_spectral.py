@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from flowspectra import (
     ConvergenceError,
     DataError,
     NetworkSnapshot,
-    SymmetricMatrix,
+    cluster,
+    distance_matrix,
     full_spectrum,
     ipr,
     leading_eigenpair,
@@ -24,9 +27,7 @@ def snapshot_of(matrix):
 
 
 def symmetric_of(matrix):
-    values = np.asarray(matrix, dtype=float)
-    names = tuple(f"E{i:02d}" for i in range(values.shape[0]))
-    return SymmetricMatrix(names, values)
+    return np.asarray(matrix, dtype=float)
 
 
 # --- inverse participation ratio ---------------------------------------------
@@ -372,3 +373,28 @@ def test_mean_ipr_bounds_over_random_draws():
         m = rng.random((5, 5))
         summary = full_spectrum(symmetric_of((m + m.T) / 2))
         assert 1.0 - 1e-9 <= mean_ipr(summary) <= 5.0 + 1e-9
+
+
+@pytest.mark.parametrize("function", [full_spectrum, distance_matrix])
+@pytest.mark.parametrize("matrix, message", [
+    ([[0.0, 1.0], [2.0, 0.0]], "^matrix is not exactly symmetric$"),
+    (np.ones((2, 3)), r"square matrix, got shape \(2, 3\)"),
+    (np.ones(3), r"square matrix, got shape \(3,\)"),
+    (np.ones((0, 0)), r"square matrix, got shape \(0, 0\)"),
+], ids=["asymmetric", "non-square", "1-D", "empty"])
+def test_symmetric_matrix_input_is_checked(function, matrix, message):
+    with pytest.raises(DataError, match=message):
+        function(np.asarray(matrix))
+
+
+def test_spectral_and_cluster_do_not_import_network():
+    for module in (spectral, cluster):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not any("network" in name.split(".") for name in imported), module.__name__
