@@ -57,7 +57,6 @@ from .spectral import (
     full_spectrum,
     ipr,
     leading_eigenpair,
-    mean_ipr,
     participation_percent,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "leading_eigenpair",
     "leaf_order",
     "load_bis_mapping",
-    "mean_ipr",
     "null_ensemble",
     "parse_flow_csv",
     "parse_flow_file",

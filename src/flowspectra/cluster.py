@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .spectral import _symmetric_matrix
 
 LINKAGES = ("average", "single", "complete")
 
@@ -30,6 +31,9 @@ class Merge:
 
 @dataclass(frozen=True)
 class Dendrogram:
+    """Merge k forms cluster `n_leaves + k` from two distinct clusters formed
+    before it and not yet merged, so a fold over `merges` meets children first."""
+
     n_leaves: int
     merges: tuple[Merge, ...]
 
@@ -37,30 +41,29 @@ class Dendrogram:
         object.__setattr__(self, "merges", tuple(self.merges))
         if len(self.merges) != self.n_leaves - 1:
             raise DataError(f"expected {self.n_leaves - 1} merges, got {len(self.merges)}")
+        merged: set[int] = set()
+        for k, m in enumerate(self.merges):
+            if m.id != self.n_leaves + k:
+                raise DataError(f"merge {k} forms id {m.id}, expected {self.n_leaves + k}")
+            for child in (m.left, m.right):
+                if not 0 <= child < m.id or child in merged:
+                    raise DataError(f"merge {k} joins cluster {child}, which is not a "
+                                    "distinct, formed and unmerged cluster")
+                merged.add(child)
 
     @property
     def root(self) -> int:
         return 2 * self.n_leaves - 2
 
-    def heights(self) -> dict[int, float]:
-        """Merge height per node id; leaves sit at height 0."""
-        out = {leaf: 0.0 for leaf in range(self.n_leaves)}
-        out.update({m.id: m.height for m in self.merges})
-        return out
-
 
 def distance_matrix(sym: np.ndarray) -> np.ndarray:
     """Weight-based distances: d(i, j) = 1 - s(i, j) / max off-diagonal s.
 
-    `sym` is an exactly symmetric (N, N) weight matrix, and so is the
-    result. Entries lie in [0, 1]; the strongest pair has distance 0 and an
-    absent relation distance 1. Invariant under uniform weight scaling.
+    `sym` is a finite, exactly symmetric (N, N) weight matrix, and so is
+    the result. Entries lie in [0, 1]; the strongest pair has distance 0
+    and an absent relation distance 1. Invariant under uniform weight scaling.
     """
-    values = np.asarray(sym, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
-        raise DataError(f"expected a nonempty square matrix, got shape {values.shape}")
-    if not np.array_equal(values, values.T):
-        raise DataError("matrix is not exactly symmetric")
+    values = _symmetric_matrix(sym)
     if values.min() < 0:
         raise DataError("distance matrix needs nonnegative weights")
     off_diag = values.copy()
@@ -135,21 +138,19 @@ def leaf_order(dendrogram: Dendrogram) -> list[int]:
     Applying it to the rows and columns of the weight matrix places merged
     clusters next to each other.
     """
-    children = {m.id: (m.left, m.right) for m in dendrogram.merges}
-    order: list[int] = []
-    stack = [dendrogram.root]
-    while stack:
-        node = stack.pop()
-        if node < dendrogram.n_leaves:
-            order.append(node)
-        else:
-            left, right = children[node]
-            stack.append(right)
-            stack.append(left)
-    return order
+    leaves = {leaf: [leaf] for leaf in range(dendrogram.n_leaves)}
+    for m in dendrogram.merges:
+        leaves[m.id] = leaves.pop(m.left) + leaves.pop(m.right)
+    return leaves[dendrogram.root]
+
+
+def _check_labels(dendrogram: Dendrogram, labels: tuple[str, ...]) -> None:
+    if len(labels) != dendrogram.n_leaves:
+        raise DataError(f"expected {dendrogram.n_leaves} labels, got {len(labels)}")
 
 
 def dendrogram_to_json(dendrogram: Dendrogram, entities: tuple[str, ...]) -> dict:
+    _check_labels(dendrogram, entities)
     order = leaf_order(dendrogram)
     return {
         "n_leaves": dendrogram.n_leaves,
@@ -165,20 +166,11 @@ def dendrogram_to_json(dendrogram: Dendrogram, entities: tuple[str, ...]) -> dic
 
 def to_newick(dendrogram: Dendrogram, labels: tuple[str, ...]) -> str:
     """Newick string with branch lengths equal to height differences."""
-    n = dendrogram.n_leaves
-    if len(labels) != n:
-        raise DataError(f"expected {n} labels, got {len(labels)}")
-    children = {m.id: (m.left, m.right) for m in dendrogram.merges}
-    heights = dendrogram.heights()
-
-    def render(node: int, parent_height: float) -> str:
-        if node < n:
-            return f"{labels[node]}:{parent_height!r}"
-        left, right = children[node]
-        height = heights[node]
-        inner = f"({render(left, height)},{render(right, height)})"
-        if node == dendrogram.root:
-            return inner
-        return f"{inner}:{parent_height - height!r}"
-
-    return render(dendrogram.root, heights[dendrogram.root]) + ";"
+    _check_labels(dendrogram, labels)
+    # Each subtree's text without its own branch length, and its height.
+    subtrees = {leaf: (label, 0.0) for leaf, label in enumerate(labels)}
+    for m in dendrogram.merges:
+        branches = [f"{text}:{m.height - height!r}"
+                    for text, height in (subtrees.pop(m.left), subtrees.pop(m.right))]
+        subtrees[m.id] = (f"({','.join(branches)})", m.height)
+    return subtrees[dendrogram.root][0] + ";"

@@ -33,7 +33,6 @@ from .spectral import (
     full_spectrum,
     ipr,
     leading_eigenpair,
-    mean_ipr,
     participation_percent,
 )
 
@@ -152,11 +151,11 @@ def analyze_period(records: FlowRecordSet, period: str,
 
     try:
         sym = symmetrize(snapshot)
-        summary = full_spectrum(sym)
+        _, eigenvectors = full_spectrum(sym)
         if config.spectrum_mode == MODE_SYMMETRIZED:
             # The null's eigvalsh, not eigh's lambda (which may differ in the
             # last bits), so a replica equal to the network has the same lambda.
-            lam, market_mode = float(np.linalg.eigvalsh(sym)[-1]), summary.market_mode
+            lam, market_mode = float(np.linalg.eigvalsh(sym)[-1]), eigenvectors[0]
         else:
             lam, market_mode = leading_eigenpair(snapshot.weights)
         stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode,
@@ -173,7 +172,7 @@ def analyze_period(records: FlowRecordSet, period: str,
         entities=snapshot.entities,
         lambda_max=lam,
         null_stats=stats,
-        mean_ipr=mean_ipr(summary),
+        mean_ipr=float(np.mean(ipr(eigenvectors))),
         ipr_lambda_max=ipr(market_mode),
         total_volume=total_volume(snapshot),
         density=density(snapshot),

@@ -9,7 +9,6 @@ averaged over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,41 +30,45 @@ _BLOCK_STEPS = 16
 _NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSummary:
-    """Eigenvalues (descending), unit eigenvectors, and per-vector IPRs.
-
-    `eigenvectors[k]` is the unit-norm vector for `eigenvalues[k]`;
-    `market_mode` is the eigenvector of `lambda_max`.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    iprs: np.ndarray
-    lambda_max: float
-    market_mode: np.ndarray
+def _unit_vectors(vectors: np.ndarray) -> np.ndarray:
+    """`vectors` as C-ordered floats, once each of its rows has unit L2 norm.
+    C order makes a row of a stack sum in the same order as the row alone."""
+    v = np.ascontiguousarray(vectors, dtype=float)
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    bad = np.abs(norms - 1.0) > _NORM_TOL
+    if bad.any():
+        raise DataError(f"vector is not unit-normalized (L2 norm {float(norms[bad][0])})")
+    return v
 
 
-def ipr(vector: np.ndarray) -> float:
+def _symmetric_matrix(sym: np.ndarray) -> np.ndarray:
+    """`sym` as floats, once it is a nonempty, finite, exactly symmetric
+    square matrix."""
+    a = np.asarray(sym, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DataError(f"expected a nonempty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DataError("matrix must be finite")
+    if not np.array_equal(a, a.T):
+        raise DataError("matrix is not exactly symmetric")
+    return a
+
+
+def ipr(vectors: np.ndarray) -> float | np.ndarray:
     """Inverse participation ratio of a unit vector: 1 / sum of 4th powers.
 
     Counts the effectively participating components: N for the uniform
-    vector 1/sqrt(N), 1 for a basis vector.
+    vector 1/sqrt(N), 1 for a basis vector. An (R, N) stack of unit vectors
+    gives the (R,) IPRs of its rows, each with the bits of the row alone.
     """
-    v = np.asarray(vector, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise DataError(f"vector is not unit-normalized (L2 norm {norm})")
-    return 1.0 / float(np.sum(v ** 4))
+    v = _unit_vectors(vectors)
+    iprs = 1.0 / np.sum(v ** 4, axis=-1)
+    return float(iprs) if v.ndim == 1 else iprs
 
 
 def participation_percent(market_mode: np.ndarray) -> np.ndarray:
     """Squared components of a unit vector as percentages (sum to 100)."""
-    v = np.asarray(market_mode, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise DataError(f"vector is not unit-normalized (L2 norm {norm})")
-    return (v ** 2) * 100.0
+    return (_unit_vectors(market_mode) ** 2) * 100.0
 
 
 def _nilpotent_null_vector(a: np.ndarray) -> np.ndarray | None:
@@ -242,31 +245,14 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     return lambdas, np.take_along_axis(vectors, np.argsort(order, axis=1), axis=1)
 
 
-def full_spectrum(sym: np.ndarray) -> SpectralSummary:
-    """All eigenvalues (descending) and orthonormal eigenvectors of an exactly
-    symmetric (N, N) matrix, with per-eigenvector inverse participation ratios.
-    Each vector's component of largest |value| (the first on a tie) is positive."""
-    a = np.asarray(sym, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise DataError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise DataError("matrix is not exactly symmetric")
-    values, basis = np.linalg.eigh(a)
+def full_spectrum(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues (descending) and orthonormal eigenvectors, as rows, of
+    a finite, exactly symmetric (N, N) matrix: `eigenvectors[k]` belongs to
+    `eigenvalues[k]`. Each vector's component of largest |value| (the first
+    on a tie) is positive."""
+    values, basis = np.linalg.eigh(_symmetric_matrix(sym))
     order = np.argsort(-values, kind="stable")
-    eigenvalues = values[order]
     eigenvectors = basis.T[order]
     pivots = np.abs(eigenvectors).argmax(axis=1)
     eigenvectors[eigenvectors[np.arange(len(order)), pivots] < 0] *= -1.0
-    iprs = 1.0 / np.sum(eigenvectors ** 4, axis=1)
-    return SpectralSummary(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        iprs=iprs,
-        lambda_max=float(eigenvalues[0]),
-        market_mode=eigenvectors[0],
-    )
-
-
-def mean_ipr(summary: SpectralSummary) -> float:
-    """Arithmetic mean IPR over all eigenvectors of a symmetrized spectrum."""
-    return float(np.mean(summary.iprs))
+    return values[order], eigenvectors

@@ -77,13 +77,13 @@ def test_spectral_identities_on_random_symmetric_matrices():
         n = int(rng.integers(2, 21))
         raw = rng.random((n, n))
         matrix = (raw + raw.T) / 2.0
-        summary = full_spectrum(matrix)
+        eigenvalues, eigenvectors = full_spectrum(matrix)
         trace = float(np.trace(matrix))
         frobenius_sq = float(np.sum(matrix * matrix))
-        assert abs(float(summary.eigenvalues.sum()) - trace) <= 1e-8 * abs(trace)
-        assert abs(float((summary.eigenvalues ** 2).sum()) - frobenius_sq) \
+        assert abs(float(eigenvalues.sum()) - trace) <= 1e-8 * abs(trace)
+        assert abs(float((eigenvalues ** 2).sum()) - frobenius_sq) \
             <= 1e-8 * frobenius_sq
-        gram = summary.eigenvectors @ summary.eigenvectors.T
+        gram = eigenvectors @ eigenvectors.T
         np.fill_diagonal(gram, 0.0)
         assert np.max(np.abs(gram)) <= 1e-8
     elapsed = time.monotonic() - started

@@ -210,6 +210,46 @@ INPUT_KINDS = {
 }
 
 
+def reference_leaf_order(dendrogram: Dendrogram) -> list[int]:
+    """The explicit-stack traversal that the fold in leaf_order replaced,
+    kept verbatim as the reference."""
+    children = {m.id: (m.left, m.right) for m in dendrogram.merges}
+    order: list[int] = []
+    stack = [dendrogram.root]
+    while stack:
+        node = stack.pop()
+        if node < dendrogram.n_leaves:
+            order.append(node)
+        else:
+            left, right = children[node]
+            stack.append(right)
+            stack.append(left)
+    return order
+
+
+def reference_to_newick(dendrogram: Dendrogram, labels: tuple[str, ...]) -> str:
+    """The recursive renderer that the fold in to_newick replaced, kept
+    verbatim except that the removed Dendrogram.heights() is inlined."""
+    n = dendrogram.n_leaves
+    if len(labels) != n:
+        raise DataError(f"expected {n} labels, got {len(labels)}")
+    children = {m.id: (m.left, m.right) for m in dendrogram.merges}
+    heights = {leaf: 0.0 for leaf in range(dendrogram.n_leaves)}
+    heights.update({m.id: m.height for m in dendrogram.merges})
+
+    def render(node: int, parent_height: float) -> str:
+        if node < n:
+            return f"{labels[node]}:{parent_height!r}"
+        left, right = children[node]
+        height = heights[node]
+        inner = f"({render(left, height)},{render(right, height)})"
+        if node == dendrogram.root:
+            return inner
+        return f"{inner}:{parent_height - height!r}"
+
+    return render(dendrogram.root, heights[dendrogram.root]) + ";"
+
+
 @pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
 @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
 def test_agglomerate_matches_pair_dict_reference(kind, linkage):
@@ -217,10 +257,63 @@ def test_agglomerate_matches_pair_dict_reference(kind, linkage):
     for n in range(2, 25):
         for _ in range(3):
             distances = INPUT_KINDS[kind](rng, n)
-            got = agglomerate(distances, linkage).merges
+            dendrogram = agglomerate(distances, linkage)
             want = reference_agglomerate(distances, linkage).merges
-            assert [(m.left, m.right, m.height, m.id) for m in got] == \
+            assert [(m.left, m.right, m.height, m.id) for m in dendrogram.merges] == \
                    [(m.left, m.right, m.height, m.id) for m in want]
+            labels = tuple(f"E{i}" for i in range(n))
+            assert leaf_order(dendrogram) == reference_leaf_order(dendrogram)
+            assert to_newick(dendrogram, labels) == reference_to_newick(dendrogram, labels)
+
+
+@pytest.mark.parametrize("deep", ["left", "right"])
+def test_1200_leaf_chain_renders_without_recursion(deep):
+    n = 1200
+    if deep == "left":  # ((((0,1),2),3),...)
+        merges = [Merge(0 if k == 0 else n + k - 1, k + 1, float(k + 1), n + k)
+                  for k in range(n - 1)]
+    else:  # (0,(1,(2,...(n-2,n-1))))
+        merges = [Merge(n - 2 - k, n - 1 if k == 0 else n + k - 1, float(k + 1), n + k)
+                  for k in range(n - 1)]
+    dendrogram = Dendrogram(n_leaves=n, merges=merges)
+    assert leaf_order(dendrogram) == list(range(n))
+    newick = to_newick(dendrogram, tuple(f"E{i}" for i in range(n)))
+    assert newick.count("(") == newick.count(")") == n - 1
+    if deep == "left":
+        assert newick.startswith("(" * (n - 1) + "E0:1.0,E1:1.0):1.0,E2:2.0):1.0,")
+        assert newick.endswith(f",E{n - 1}:{float(n - 1)!r});")
+    else:
+        assert newick.startswith(f"(E0:{float(n - 1)!r},(E1:{float(n - 2)!r},(")
+        assert newick.endswith("(E1198:1.0,E1199:1.0)" + ":1.0)" * (n - 2) + ";")
+
+
+@pytest.mark.parametrize("merges, message", [
+    ([(0, 0, 3), (3, 1, 4)], "merge 0 joins cluster 0, which is not a distinct"),
+    ([(1, 4, 3), (0, 2, 4)], "merge 0 joins cluster 4, which is not a distinct"),
+    ([(4, 1, 3), (3, 2, 4)], "merge 0 joins cluster 4, which is not a distinct"),
+    ([(0, 1, 3), (0, 2, 4)], "merge 1 joins cluster 0, which is not a distinct"),
+    ([(0, 1, 3), (2, 3, 5)], "merge 1 forms id 5, expected 4"),
+    ([(-1, 1, 3), (2, 3, 4)], "merge 0 joins cluster -1, which is not a distinct"),
+], ids=["self-merge", "child-formed-later", "cycle", "reused-child", "wrong-id",
+        "negative-id"])
+def test_malformed_merge_lists_are_rejected(merges, message):
+    with pytest.raises(DataError, match=message):
+        Dendrogram(n_leaves=3, merges=[Merge(a, b, 0.1 * (k + 1), i)
+                                       for k, (a, b, i) in enumerate(merges)])
+
+
+@pytest.mark.parametrize("labels", [("A",), ("A", "B", "C", "D")], ids=["1", "4"])
+def test_outputs_need_one_label_per_leaf(labels):
+    dendrogram = agglomerate(THREE_NODE)
+    for output in (dendrogram_to_json, to_newick):
+        with pytest.raises(DataError, match=f"^expected 3 labels, got {len(labels)}$"):
+            output(dendrogram, labels)
+
+
+def test_one_leaf_dendrogram():
+    dendrogram = Dendrogram(n_leaves=1, merges=())
+    assert leaf_order(dendrogram) == [0]
+    assert to_newick(dendrogram, ("A",)) == "A;"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -14,7 +14,6 @@ from flowspectra import (
     full_spectrum,
     ipr,
     leading_eigenpair,
-    mean_ipr,
     participation_percent,
     spectral,
 )
@@ -298,16 +297,16 @@ def test_power_iteration_is_deterministic():
 
 
 def test_full_spectrum_identity():
-    summary = full_spectrum(symmetric_of(np.eye(3)))
-    assert summary.eigenvalues.tolist() == [1.0, 1.0, 1.0]
+    eigenvalues, _ = full_spectrum(symmetric_of(np.eye(3)))
+    assert eigenvalues.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_full_spectrum_two_node_exchange():
-    summary = full_spectrum(symmetric_of([[0, 1], [1, 0]]))
-    assert summary.eigenvalues == pytest.approx([1.0, -1.0])
+    eigenvalues, eigenvectors = full_spectrum(symmetric_of([[0, 1], [1, 0]]))
+    assert eigenvalues == pytest.approx([1.0, -1.0])
     root_half = 1 / math.sqrt(2)
-    assert summary.eigenvectors[0] == pytest.approx([root_half, root_half])
-    assert summary.eigenvectors[1] == pytest.approx([root_half, -root_half])
+    assert eigenvectors[0] == pytest.approx([root_half, root_half])
+    assert eigenvectors[1] == pytest.approx([root_half, -root_half])
 
 
 def test_full_spectrum_identities_on_random_4x4():
@@ -315,10 +314,9 @@ def test_full_spectrum_identities_on_random_4x4():
     for _ in range(100):
         m = rng.random((4, 4))
         a = (m + m.T) / 2
-        summary = full_spectrum(symmetric_of(a))
-        assert summary.eigenvalues.sum() == pytest.approx(np.trace(a), rel=1e-8)
-        assert (summary.eigenvalues ** 2).sum() == pytest.approx(
-            np.sum(a * a), rel=1e-8)
+        eigenvalues, _ = full_spectrum(symmetric_of(a))
+        assert eigenvalues.sum() == pytest.approx(np.trace(a), rel=1e-8)
+        assert (eigenvalues ** 2).sum() == pytest.approx(np.sum(a * a), rel=1e-8)
 
 
 def test_full_spectrum_of_symmetrized_snapshot_has_zero_trace_sum():
@@ -329,18 +327,18 @@ def test_full_spectrum_of_symmetrized_snapshot_has_zero_trace_sum():
         n = int(rng.integers(2, 15))
         weights = rng.random((n, n)) * 100
         np.fill_diagonal(weights, 0.0)
-        summary = full_spectrum(symmetrize(snapshot_of(weights)))
-        assert len(summary.eigenvalues) == n
-        assert abs(float(summary.eigenvalues.sum())) <= 1e-8
+        eigenvalues, _ = full_spectrum(symmetrize(snapshot_of(weights)))
+        assert len(eigenvalues) == n
+        assert abs(float(eigenvalues.sum())) <= 1e-8
 
 
 def test_full_spectrum_vectors_are_orthonormal():
     rng = np.random.default_rng(83)
     m = rng.random((12, 12))
-    summary = full_spectrum(symmetric_of((m + m.T) / 2))
-    gram = summary.eigenvectors @ summary.eigenvectors.T
+    _, eigenvectors = full_spectrum(symmetric_of((m + m.T) / 2))
+    gram = eigenvectors @ eigenvectors.T
     assert np.max(np.abs(gram - np.eye(12))) < 1e-8
-    assert np.all(np.abs(np.linalg.norm(summary.eigenvectors, axis=1) - 1) < 1e-10)
+    assert np.all(np.abs(np.linalg.norm(eigenvectors, axis=1) - 1) < 1e-10)
 
 
 def test_full_spectrum_sign_convention_is_deterministic():
@@ -349,30 +347,51 @@ def test_full_spectrum_sign_convention_is_deterministic():
     a = (m + m.T) / 2
     first = full_spectrum(symmetric_of(a))
     second = full_spectrum(symmetric_of(a))
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
-    for vector in first.eigenvectors:
+    assert np.array_equal(first[1], second[1])
+    for vector in first[1]:
         assert vector[int(np.argmax(np.abs(vector)))] > 0
 
 
 # --- mean IPR -------------------------------------------------------------------
 
 
+def mean_ipr_of(matrix):
+    return float(np.mean(ipr(full_spectrum(symmetric_of(matrix))[1])))
+
+
 def test_mean_ipr_two_node_exchange_is_two():
-    summary = full_spectrum(symmetric_of([[0, 1], [1, 0]]))
-    assert mean_ipr(summary) == pytest.approx(2.0, rel=1e-12)
+    assert mean_ipr_of([[0, 1], [1, 0]]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_mean_ipr_of_identity_basis_is_one():
-    summary = full_spectrum(symmetric_of(np.eye(4)))
-    assert mean_ipr(summary) == pytest.approx(1.0, rel=1e-12)
+    assert mean_ipr_of(np.eye(4)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mean_ipr_bounds_over_random_draws():
     rng = np.random.default_rng(47)
     for _ in range(1000):
         m = rng.random((5, 5))
-        summary = full_spectrum(symmetric_of((m + m.T) / 2))
-        assert 1.0 - 1e-9 <= mean_ipr(summary) <= 5.0 + 1e-9
+        assert 1.0 - 1e-9 <= mean_ipr_of((m + m.T) / 2) <= 5.0 + 1e-9
+
+
+def test_ipr_of_a_stack_has_the_bits_of_each_row():
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 7, 8, 9, 31, 130, 257):
+        m = rng.random((n, n))
+        _, eigenvectors = full_spectrum((m + m.T) / 2)
+        for stack in (eigenvectors, eigenvectors[::-1], eigenvectors[:, ::-1],
+                      np.asfortranarray(eigenvectors)):
+            iprs = ipr(stack)
+            assert iprs.shape == (n,)
+            assert [float(x) for x in iprs] == [ipr(row) for row in stack]
+            assert all(type(ipr(row)) is float for row in stack)
+
+
+def test_ipr_of_a_stack_checks_every_row():
+    stack = np.eye(3)
+    stack[2] *= 1.5
+    with pytest.raises(DataError, match=r"unit-normalized \(L2 norm 1\.5\)"):
+        ipr(stack)
 
 
 @pytest.mark.parametrize("function", [full_spectrum, distance_matrix])
@@ -381,7 +400,10 @@ def test_mean_ipr_bounds_over_random_draws():
     (np.ones((2, 3)), r"square matrix, got shape \(2, 3\)"),
     (np.ones(3), r"square matrix, got shape \(3,\)"),
     (np.ones((0, 0)), r"square matrix, got shape \(0, 0\)"),
-], ids=["asymmetric", "non-square", "1-D", "empty"])
+    ([[np.nan, 1.0], [1.0, 0.0]], "^matrix must be finite$"),
+    ([[0.0, np.inf], [np.inf, 0.0]], "^matrix must be finite$"),
+    ([[0.0, -np.inf], [1.0, 0.0]], "^matrix must be finite$"),
+], ids=["asymmetric", "non-square", "1-D", "empty", "nan", "inf", "inf-asymmetric"])
 def test_symmetric_matrix_input_is_checked(function, matrix, message):
     with pytest.raises(DataError, match=message):
         function(np.asarray(matrix))
