@@ -15,7 +15,6 @@ from .cluster import (
 from .errors import ConfigError, ConvergenceError, DataError, FlowspectraError
 from .ingest import (
     BisMapping,
-    FlowRecord,
     FlowRecordSet,
     convert_bis_lbs,
     derive_seed,
@@ -30,9 +29,7 @@ from .network import (
     NetworkSnapshot,
     build_snapshot,
     density,
-    snapshot_to_dot,
     snapshot_to_flow_csv,
-    snapshot_to_json,
     symmetrize,
     total_volume,
     volume_share,
@@ -49,7 +46,6 @@ from .pipeline import (
     config_from_sources,
     export,
     run_timeseries,
-    timeseries_from_json,
     timeseries_to_json,
 )
 from .spectral import (
@@ -68,7 +64,6 @@ __all__ = [
     "ConvergenceError",
     "DataError",
     "Dendrogram",
-    "FlowRecord",
     "FlowRecordSet",
     "FlowspectraError",
     "MODE_LINK_SHUFFLE",
@@ -101,11 +96,8 @@ __all__ = [
     "run_timeseries",
     "serialize_flow_csv",
     "shuffle_snapshot",
-    "snapshot_to_dot",
     "snapshot_to_flow_csv",
-    "snapshot_to_json",
     "symmetrize",
-    "timeseries_from_json",
     "timeseries_to_json",
     "to_newick",
     "total_volume",

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: analyze (one period), timeseries (all periods), shuffle (emit
-one surrogate), dendrogram (per-period tree and leaf order), synth
+one surrogate as flow CSV), dendrogram (per-period tree and leaf order), synth
 (generate a synthetic dataset), convert-bis (run the converter).
 
 Exit codes: 0 success, 1 data error, 2 numerical non-convergence,
@@ -24,14 +24,7 @@ from .ingest import (
     parse_flow_file,
     serialize_flow_csv,
 )
-from .network import (
-    VOLUME_MODES,
-    build_snapshot,
-    snapshot_to_dot,
-    snapshot_to_flow_csv,
-    snapshot_to_json,
-    symmetrize,
-)
+from .network import VOLUME_MODES, build_snapshot, snapshot_to_flow_csv, symmetrize
 from .nullmodel import SHUFFLE_MODES, shuffle_snapshot
 from .pipeline import (
     PipelineConfig,
@@ -94,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     # scripts still pass this flag.
     timeseries.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
 
-    shuffle = commands.add_parser("shuffle", help="emit one shuffled surrogate")
+    shuffle = commands.add_parser("shuffle",
+                                  help="emit one shuffled surrogate as flow CSV")
     _add_common(shuffle, analysis=False)
     shuffle.add_argument("--period", required=True)
-    shuffle.add_argument("--format", choices=("json", "dot", "csv"), default="json")
 
     dendro = commands.add_parser("dendrogram",
                                  help="cluster one period's symmetrized matrix")
@@ -177,13 +170,7 @@ def _cmd_shuffle(args: argparse.Namespace) -> int:
     records = parse_flow_file(args.input)
     snapshot = build_snapshot(records, args.period)
     surrogate = shuffle_snapshot(snapshot, config.seed, config.null_mode)
-    if args.format == "json":
-        text = json.dumps(snapshot_to_json(surrogate), indent=2, allow_nan=False) + "\n"
-    elif args.format == "dot":
-        text = snapshot_to_dot(surrogate)
-    else:
-        text = snapshot_to_flow_csv(surrogate)
-    _emit(text, args.out, f"shuffle_{args.period}.{args.format}")
+    _emit(snapshot_to_flow_csv(surrogate), args.out, f"shuffle_{args.period}.csv")
     return 0
 
 

@@ -15,7 +15,6 @@ import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,15 +31,6 @@ DEFAULT_SYNTHETIC_PERIOD = "2000-Q1"
 def _check_period(label: str) -> None:
     if not PERIOD_PATTERN.match(label):
         raise DataError(f"malformed period label {label!r} (expected YYYY-Qn)")
-
-
-class FlowRecord(NamedTuple):
-    """One row of a FlowRecordSet: `reporter` lent `amount` to `counterparty`."""
-
-    period: str
-    reporter: str
-    counterparty: str
-    amount: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +56,6 @@ class FlowRecordSet:
         """Validate (period, reporter, counterparty, amount) rows; row 1 is the first."""
         return _validate(enumerate(rows, start=1))
 
-    def rows(self) -> tuple[FlowRecord, ...]:
-        """The records in input order, built on demand."""
-        return tuple(map(FlowRecord._make, self._fields()))
-
     def _fields(self) -> Iterator[tuple[str, str, str, float]]:
         periods, entities = self.periods, self.entities
         for p, r, c, amount in zip(self.period_index.tolist(), self.reporter_index.tolist(),
@@ -80,7 +66,13 @@ class FlowRecordSet:
         return len(self.amounts)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FlowRecordSet) and self.rows() == other.rows()
+        """Same labels and the same four columns; a roster or period list
+        wider than the rows makes two sets of the same records unequal."""
+        return (isinstance(other, FlowRecordSet) and self.periods == other.periods
+                and self.entities == other.entities
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("period_index", "reporter_index",
+                                     "counterparty_index", "amounts")))
 
 
 def _intern(ids: dict[str, int], code: str, pattern: re.Pattern, row_no: int, message: str) -> int:
@@ -168,17 +160,19 @@ def parse_flow_file(path: str | Path) -> FlowRecordSet:
     return parse_flow_csv(Path(path).read_text(encoding="utf-8"))
 
 
-def serialize_flow_csv(records: FlowRecordSet) -> str:
-    """Render a FlowRecordSet as flow CSV; reparsing yields an equal set.
+def flow_csv_lines(records: FlowRecordSet) -> Iterator[str]:
+    """The flow CSV lines of a FlowRecordSet without line ends, header first.
 
     Amounts use repr, the shortest digit string that round-trips the float.
     """
-    lines = [",".join(FLOW_CSV_HEADER)]
-    lines.extend(
-        f"{period},{reporter},{counterparty},{amount!r}"
-        for period, reporter, counterparty, amount in records._fields()
-    )
-    return "\n".join(lines) + "\n"
+    yield ",".join(FLOW_CSV_HEADER)
+    for period, reporter, counterparty, amount in records._fields():
+        yield f"{period},{reporter},{counterparty},{amount!r}"
+
+
+def serialize_flow_csv(records: FlowRecordSet) -> str:
+    """Render a FlowRecordSet as flow CSV; reparsing a parsed set yields an equal set."""
+    return "\n".join(flow_csv_lines(records)) + "\n"
 
 
 def write_flow_file(records: FlowRecordSet, path: str | Path) -> None:

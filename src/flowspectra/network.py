@@ -121,32 +121,6 @@ def volume_share(snapshot: NetworkSnapshot, mode: str = "both") -> np.ndarray:
     return shares * 100.0
 
 
-def snapshot_to_json(snapshot: NetworkSnapshot) -> dict:
-    return {
-        "period": snapshot.period,
-        "entities": list(snapshot.entities),
-        "weights": [[float(x) for x in row] for row in snapshot.weights],
-    }
-
-
-def snapshot_to_dot(snapshot: NetworkSnapshot) -> str:
-    """Render the snapshot as a Graphviz digraph with `weight` edge attributes.
-
-    Layout is left to external tools; isolated entities still get node lines
-    so the roster is visible.
-    """
-    lines = [f'digraph "{snapshot.period}" {{']
-    for code in snapshot.entities:
-        lines.append(f'  "{code}";')
-    for i, src in enumerate(snapshot.entities):
-        for j, dst in enumerate(snapshot.entities):
-            w = float(snapshot.weights[i, j])
-            if w != 0:
-                lines.append(f'  "{src}" -> "{dst}" [weight={w!r}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def snapshot_to_flow_csv(snapshot: NetworkSnapshot) -> str:
     """Render the snapshot's edges as flow CSV (row-major edge order)."""
     rows, cols = np.nonzero(snapshot.weights)

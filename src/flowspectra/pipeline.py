@@ -10,13 +10,14 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FlowspectraError
-from .ingest import FlowRecordSet, derive_seed, serialize_flow_csv
+from .ingest import FlowRecordSet, derive_seed, flow_csv_lines
 from .network import (
     VOLUME_MODES,
     build_snapshot,
@@ -72,9 +73,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown spectrum mode {self.spectrum_mode!r}")
         if self.volume_mode not in VOLUME_MODES:
             raise ConfigError(f"unknown volume mode {self.volume_mode!r}")
-
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 def config_from_sources(file_values: dict[str, Any] | None = None,
@@ -136,8 +134,13 @@ class TimeSeriesResult:
 
 
 def dataset_fingerprint(records: FlowRecordSet) -> str:
-    """Content hash (sha256) of the canonical CSV serialization."""
-    return hashlib.sha256(serialize_flow_csv(records).encode("utf-8")).hexdigest()
+    """Content hash (sha256) of the canonical CSV serialization, fed to the
+    hash 4,096 lines at a time so the whole text is never built."""
+    digest = hashlib.sha256()
+    lines = flow_csv_lines(records)
+    while chunk := list(islice(lines, 4096)):
+        digest.update(("\n".join(chunk) + "\n").encode("utf-8"))
+    return digest.hexdigest()
 
 
 def analyze_period(records: FlowRecordSet, period: str,
@@ -217,7 +220,7 @@ def run_timeseries(records: FlowRecordSet,
     return TimeSeriesResult(
         results=tuple(results),
         fingerprint=dataset_fingerprint(records),
-        config=config.as_dict(),
+        config=asdict(config),
         skipped=tuple(skipped),
         failures=tuple(failures),
     )
@@ -246,34 +249,6 @@ def period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
     }
 
 
-def _period_from_json(obj: dict) -> PeriodResult:
-    null = obj["null"]
-    stats = NullEnsembleStats(
-        n_samples=null["n_samples"],
-        lambda_values=tuple(null.get("lambda_values", ())),
-        mean=null["mean"],
-        std=null["std"],
-        q01=null["q01"],
-        q50=null["q50"],
-        q99=null["q99"],
-        seed=null["seed"],
-        mode=null["mode"],
-    )
-    return PeriodResult(
-        period=obj["period"],
-        entities=tuple(obj["entities"]),
-        lambda_max=obj["lambda_max"],
-        null_stats=stats,
-        mean_ipr=obj["mean_ipr"],
-        ipr_lambda_max=obj["ipr_lambda_max"],
-        total_volume=obj["total_volume"],
-        density=obj["density"],
-        participation=tuple(obj["participation"]),
-        volume_share=tuple(obj["volume_share"]),
-        market_mode=tuple(obj["market_mode"]),
-    )
-
-
 def timeseries_to_json(result: TimeSeriesResult) -> dict:
     include_values = bool(result.config.get("include_lambda_values", False))
     return {
@@ -283,17 +258,6 @@ def timeseries_to_json(result: TimeSeriesResult) -> dict:
         "failures": [[period, message] for period, message in result.failures],
         "periods": [period_to_json(r, include_values) for r in result.results],
     }
-
-
-def timeseries_from_json(source: str) -> TimeSeriesResult:
-    obj = json.loads(source)
-    return TimeSeriesResult(
-        results=tuple(_period_from_json(entry) for entry in obj["periods"]),
-        fingerprint=obj["fingerprint"],
-        config=dict(obj["config"]),
-        skipped=tuple(obj.get("skipped", ())),
-        failures=tuple((p, m) for p, m in obj.get("failures", ())),
-    )
 
 
 def _timeseries_csv(result: TimeSeriesResult) -> str:
@@ -320,8 +284,8 @@ def export(result: TimeSeriesResult, out_dir: str | Path) -> list[Path]:
 
     timeseries.csv holds one summary row per period, participation.csv a
     tidy per-entity participation table, and timeseries.json the full
-    nested results, reparseable by timeseries_from_json. NaN or infinite
-    values raise ValueError rather than being written as non-JSON tokens.
+    nested results. NaN or infinite values raise ValueError rather than
+    being written as non-JSON tokens.
     """
     tables = ((TIMESERIES_CSV, _timeseries_csv(result)),
               (PARTICIPATION_CSV, _participation_csv(result)),

@@ -4,6 +4,7 @@ import pytest
 
 from flowspectra import ConvergenceError, parse_flow_file
 from flowspectra.cli import main
+from flowspectra.spectral import SPECTRUM_MODES
 
 HEADER = "period,reporter,counterparty,amount"
 TWO_NODE = f"{HEADER}\n2008-Q3,A,B,3\n2008-Q3,B,A,5\n"
@@ -118,20 +119,34 @@ def test_removed_timeseries_flags_are_rejected(flows_csv, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def test_shuffle_formats(flows_csv, capsys):
-    assert main(["shuffle", "--input", str(flows_csv), "--period", "2008-Q3",
-                 "--seed", "1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert sorted(map(sorted, payload["weights"])) in ([[0.0, 3.0], [0.0, 5.0]],
-                                                       [[0.0, 5.0], [0.0, 3.0]])
+def test_shuffle_writes_flow_csv(tmp_path):
+    source = tmp_path / "flows.csv"
+    source.write_text(f"{HEADER}\n2008-Q3,A,B,3\n2008-Q3,B,C,5\n2008-Q3,C,A,7\n"
+                      "2008-Q4,A,C,1\n")
+    shuffle = ["shuffle", "--input", str(source), "--period", "2008-Q3", "--seed", "1",
+               "--out", str(tmp_path / "out")]
+    assert main(shuffle) == 0
+    surrogate = parse_flow_file(tmp_path / "out" / "shuffle_2008-Q3.csv")
+    assert surrogate.periods == ("2008-Q3",)
+    assert sorted(surrogate.amounts.tolist()) == [3.0, 5.0, 7.0]
+    for fmt in ("csv", "json", "dot"):
+        assert main([*shuffle, "--format", fmt]) == 3
 
-    assert main(["shuffle", "--input", str(flows_csv), "--period", "2008-Q3",
-                 "--seed", "1", "--format", "dot"]) == 0
-    assert capsys.readouterr().out.startswith('digraph "2008-Q3"')
 
-    assert main(["shuffle", "--input", str(flows_csv), "--period", "2008-Q3",
-                 "--seed", "1", "--format", "csv"]) == 0
-    assert capsys.readouterr().out.startswith(HEADER)
+@pytest.mark.parametrize("spectrum_mode", SPECTRUM_MODES)
+def test_analyze_one_period_writes_its_timeseries_entry(tmp_path, spectrum_mode):
+    assert main(["synth", "--periods", "4", "--n-core", "2", "--n-periphery", "4",
+                 "--link-prob", "0.2", "--link-prob-end", "0.6", "--seed", "9",
+                 "--out", str(tmp_path)]) == 0
+    run = ["--input", str(tmp_path / "flows.csv"), "--seed", "5", "--null-samples", "10",
+           "--spectrum-mode", spectrum_mode]
+    assert main(["timeseries", *run, "--out", str(tmp_path / "all")]) == 0
+    entries = json.loads((tmp_path / "all" / "timeseries.json").read_text())["periods"]
+    assert len(entries) == 4
+    for entry in entries:
+        period = entry["period"]
+        assert main(["analyze", *run, "--period", period, "--out", str(tmp_path / "one")]) == 0
+        assert json.loads((tmp_path / "one" / f"period_{period}.json").read_text()) == entry
 
 
 def test_dendrogram_json_and_newick(flows_csv, capsys):

@@ -6,7 +6,6 @@ from flowspectra import (
     BisMapping,
     ConfigError,
     DataError,
-    FlowRecord,
     FlowRecordSet,
     build_snapshot,
     convert_bis_lbs,
@@ -22,16 +21,23 @@ from flowspectra.ingest import period_sequence, shift_quarter
 HEADER = "period,reporter,counterparty,amount"
 
 
+def as_tuples(records):
+    """The records as (period, reporter, counterparty, amount) tuples in row
+    order, read from the columns."""
+    return [(records.periods[p], records.entities[r], records.entities[c], amount)
+            for p, r, c, amount in zip(records.period_index, records.reporter_index,
+                                       records.counterparty_index, records.amounts.tolist())]
+
+
 def test_parse_single_row():
     records = parse_flow_csv(f"{HEADER}\n2008-Q3,US,GB,1250.5")
     assert len(records) == 1
-    record = records.rows()[0]
-    assert record == FlowRecord("2008-Q3", "US", "GB", 1250.5)
+    assert as_tuples(records) == [("2008-Q3", "US", "GB", 1250.5)]
 
 
 def test_parse_header_only_is_empty():
     records = parse_flow_csv(HEADER + "\n")
-    assert records.rows() == ()
+    assert as_tuples(records) == []
     assert records.periods == ()
     assert records.entities == ()
 
@@ -59,20 +65,18 @@ def test_parse_rejects_missing_column():
 
 def test_parse_uppercases_and_trims_codes():
     records = parse_flow_csv(f"{HEADER}\n2008-Q3, us , gb ,3")
-    assert records.rows()[0].reporter == "US"
-    assert records.rows()[0].counterparty == "GB"
+    assert as_tuples(records)[0][1:3] == ("US", "GB")
 
 
 def test_parse_accepts_crlf_and_preserves_row_order():
     text = f"{HEADER}\r\n2008-Q3,US,GB,1\r\n2008-Q3,GB,US,2\r\n"
     records = parse_flow_csv(text)
-    assert [r.amount for r in records.rows()] == [1.0, 2.0]
+    assert records.amounts.tolist() == [1.0, 2.0]
 
 
 def test_from_rows_validates_with_row_numbers():
     records = FlowRecordSet.from_rows([("2008-Q3", "US", "GB", 2.0), ("2008-Q3", "GB", "US", 1)])
-    assert records.rows() == (FlowRecord("2008-Q3", "US", "GB", 2.0),
-                              FlowRecord("2008-Q3", "GB", "US", 1.0))
+    assert as_tuples(records) == [("2008-Q3", "US", "GB", 2.0), ("2008-Q3", "GB", "US", 1.0)]
     with pytest.raises(DataError) as info:
         FlowRecordSet.from_rows([("2008-Q3", "US", "GB", 2.0), ("2008-Q3", "JP", "JP", 1.0)])
     assert str(info.value) == "row 2: reporter equals counterparty ('JP')"
@@ -97,7 +101,7 @@ def test_periods_sorted_and_entities_are_union():
 
 def test_zero_amount_records_are_retained():
     records = parse_flow_csv(f"{HEADER}\n2008-Q3,US,GB,0")
-    assert records.rows()[0].amount == 0.0
+    assert records.amounts.tolist() == [0.0]
 
 
 PERIODS = st.builds("{:04d}-Q{}".format, st.integers(0, 9999), st.integers(1, 4))
@@ -156,7 +160,7 @@ def test_convert_sums_duplicate_keys():
     ]
     conversion = convert_bis_lbs(rows, MAPPING)
     assert len(conversion.records) == 1
-    assert conversion.records.rows()[0].amount == 12.0
+    assert conversion.records.amounts.tolist() == [12.0]
 
 
 def test_convert_rejects_absent_column():
@@ -185,7 +189,7 @@ def test_convert_normalizes_compact_periods_and_drops_junk():
         {"TIME_PERIOD": "2008-Q3", "REP": "US", "CP": "GB", "VAL": "-2", "MEASURE": "S"},
     ]
     conversion = convert_bis_lbs(rows, MAPPING)
-    assert conversion.records.rows()[0].period == "2008-Q4"
+    assert as_tuples(conversion.records)[0][0] == "2008-Q4"
     assert conversion.drop_reasons == {
         "malformed-period": 1, "self-loop": 1, "negative-value": 1,
     }
@@ -218,7 +222,7 @@ def test_convert_total_matches_surviving_source_values():
         rows.append({"TIME_PERIOD": "2008-Q3", "REP": "US",
                      "CP": f"C{k % 17:02d}X", "VAL": repr(value), "MEASURE": "S"})
     conversion = convert_bis_lbs(rows, MAPPING)
-    total = sum(r.amount for r in conversion.records.rows())
+    total = sum(conversion.records.amounts.tolist())
     assert total == pytest.approx(expected, rel=1e-9)
 
 
@@ -236,14 +240,14 @@ def test_load_mapping_rejects_missing_and_unknown_keys():
 def test_synthetic_two_core_nodes_complete_digraph():
     records = generate_synthetic(2, 0, 1.0, 1.0, 0.0, seed=0)
     assert len(records) == 2
-    pairs = {(r.reporter, r.counterparty) for r in records.rows()}
+    pairs = {(reporter, counterparty) for _, reporter, counterparty, _ in as_tuples(records)}
     assert pairs == {("C000", "C001"), ("C001", "C000")}
 
 
 def test_synthetic_core_periphery_pair():
     records = generate_synthetic(1, 1, 1.0, 1.0, 0.0, seed=0)
     assert len(records) == 2
-    pairs = {(r.reporter, r.counterparty) for r in records.rows()}
+    pairs = {(reporter, counterparty) for _, reporter, counterparty, _ in as_tuples(records)}
     assert pairs == {("C000", "P000"), ("P000", "C000")}
 
 
@@ -262,9 +266,9 @@ def test_synthetic_never_emits_self_loops_or_bad_amounts():
             int(rng.integers(1, 5)), int(rng.integers(2, 8)),
             float(rng.random() * 50 + 1), float(rng.random() + 0.1),
             float(rng.random()), seed=int(rng.integers(0, 2**32)))
-        for record in records.rows():
-            assert record.reporter != record.counterparty
-            assert record.amount > 0
+        for _, reporter, counterparty, amount in as_tuples(records):
+            assert reporter != counterparty
+            assert amount > 0
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -11,7 +12,6 @@ from flowspectra import (
     ConfigError,
     ConvergenceError,
     DataError,
-    FlowRecord,
     FlowRecordSet,
     MODE_SYMMETRIZED,
     MODE_WEIGHT_PERMUTE,
@@ -25,9 +25,11 @@ from flowspectra import (
     ipr,
     parse_flow_csv,
     run_timeseries,
-    timeseries_from_json,
+    serialize_flow_csv,
     timeseries_to_json,
 )
+from flowspectra.nullmodel import NullEnsembleStats
+from flowspectra.pipeline import PeriodResult, dataset_fingerprint
 
 HEADER = "period,reporter,counterparty,amount"
 TWO_NODE = f"{HEADER}\n2008-Q3,A,B,3\n2008-Q3,B,A,5"
@@ -320,12 +322,27 @@ def test_export_participation_sums_to_100_per_period(tmp_path):
         assert total == pytest.approx(100.0, abs=1e-6)
 
 
-def test_export_json_round_trip(tmp_path):
+def test_export_json_holds_every_result_field(tmp_path):
     config = PipelineConfig(seed=8, null_samples=4, include_lambda_values=True)
-    result = run_timeseries(parse_flow_csv(TWO_NODE), config)
+    records = generate_synthetic_series(2, 3, 10.0, 1.0, n_periods=2, seed=4,
+                                        link_prob_start=0.5)
+    result = run_timeseries(records, config)
     export(result, tmp_path)
-    restored = timeseries_from_json((tmp_path / "timeseries.json").read_text())
-    assert restored == result
+    payload = json.loads((tmp_path / "timeseries.json").read_text())
+    assert payload == timeseries_to_json(result)
+
+    def as_json(value):
+        return list(value) if isinstance(value, tuple) else value
+
+    assert len(payload["periods"]) == len(result.results) == 2
+    for period, entry in zip(result.results, payload["periods"]):
+        for field in dataclasses.fields(PeriodResult):
+            if field.name != "null_stats":
+                assert entry[field.name] == as_json(getattr(period, field.name)), field.name
+        assert entry["gap"] == period.gap
+        for field in dataclasses.fields(NullEnsembleStats):
+            value = getattr(period.null_stats, field.name)
+            assert entry["null"][field.name] == as_json(value), field.name
 
 
 def test_export_refuses_non_finite_json(tmp_path):
@@ -360,6 +377,25 @@ def test_fingerprint_tracks_content():
     assert a.fingerprint != b.fingerprint
 
 
+def test_fingerprint_is_the_sha256_of_the_canonical_csv():
+    records = parse_flow_csv(f"{HEADER}\n2008-Q3,A,B,3\n2008-Q3,B,A,5\n2008-Q4,A,C,0.1\n")
+    assert dataset_fingerprint(records) == (
+        "40f1f9f64ed1d2701bbc0d0db331918338aabf12fc5f4eecad99b176e6072745")
+
+
+def test_fingerprint_hashes_the_serialized_csv_past_one_chunk():
+    rng = np.random.default_rng(23)
+    codes = [f"E{k:03d}" for k in range(40)]
+    rows = []
+    for k in range(10_001):
+        a, b = rng.choice(len(codes), size=2, replace=False)
+        rows.append((f"{2000 + k % 7}-Q{1 + k % 4}", codes[a], codes[b],
+                     float(rng.random()) * 10.0 ** int(rng.integers(-5, 9))))
+    records = FlowRecordSet.from_rows(rows)
+    expected = hashlib.sha256(serialize_flow_csv(records).encode("utf-8")).hexdigest()
+    assert dataset_fingerprint(records) == expected
+
+
 def test_records_round_trip_preserves_equality():
-    records = FlowRecordSet.from_rows([FlowRecord("2008-Q3", "A", "B", 3.0)])
-    assert records == FlowRecordSet.from_rows([FlowRecord("2008-Q3", "A", "B", 3.0)])
+    records = FlowRecordSet.from_rows([("2008-Q3", "A", "B", 3.0)])
+    assert records == FlowRecordSet.from_rows([("2008-Q3", "A", "B", 3.0)])
