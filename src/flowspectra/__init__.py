@@ -43,7 +43,6 @@ from .nullmodel import (
 from .pipeline import (
     PipelineConfig,
     analyze_period,
-    config_from_sources,
     export,
     run_timeseries,
     timeseries_to_json,
@@ -75,7 +74,6 @@ __all__ = [
     "agglomerate",
     "analyze_period",
     "build_snapshot",
-    "config_from_sources",
     "convert_bis_lbs",
     "dendrogram_to_json",
     "density",

@@ -20,8 +20,9 @@ from .errors import ConfigError, ConvergenceError, DataError
 from .ingest import (
     convert_bis_file,
     generate_synthetic_series,
-    load_bis_mapping_file,
+    load_bis_mapping,
     parse_flow_file,
+    read_utf8,
     serialize_flow_csv,
 )
 from .network import VOLUME_MODES, build_snapshot, snapshot_to_flow_csv, symmetrize
@@ -29,7 +30,6 @@ from .nullmodel import SHUFFLE_MODES, shuffle_snapshot
 from .pipeline import (
     PipelineConfig,
     analyze_period,
-    config_from_sources,
     export,
     period_to_json,
     run_timeseries,
@@ -124,15 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    file_values = None
+    values = {}
     if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(file_values, dict):
+        values = json.loads(read_utf8(args.config, ConfigError))
+        if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
-    # Each config key's flag has the key as its dest; a subcommand without
-    # the flag leaves the key to the config file or the default.
-    overrides = {key: getattr(args, key, None) for key in PipelineConfig.__dataclass_fields__}
-    return config_from_sources(file_values, overrides)
+        unknown = set(values) - set(PipelineConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    # Flags > config file > defaults. Each config key's flag has the key as its
+    # dest; a flag not given, or one the subcommand lacks, leaves the key be.
+    for key in PipelineConfig.__dataclass_fields__:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    return PipelineConfig(**values)
 
 
 def _emit(text: str, out_dir: str | None, filename: str) -> None:
@@ -210,7 +215,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert_bis(args: argparse.Namespace) -> int:
-    mapping = load_bis_mapping_file(args.mapping)
+    mapping = load_bis_mapping(read_utf8(args.mapping, ConfigError))
     conversion = convert_bis_file(args.input, mapping)
     logger.info("converted=%d filtered=%d dropped=%d reasons=%s",
                 conversion.converted, conversion.filtered, conversion.dropped,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, FlowspectraError
 
 PERIOD_PATTERN = re.compile(r"^[0-9]{4}-Q[1-4]$")
 ENTITY_PATTERN = re.compile(r"^[A-Z0-9][A-Z0-9_.\-]*$")
@@ -140,24 +140,36 @@ def parse_flow_csv(source: str) -> FlowRecordSet:
 
     Expects the header ``period,reporter,counterparty,amount``; entity codes
     are trimmed and uppercased, row order is preserved. Errors carry the
-    1-based row number (the header is row 1); blank lines count as rows.
+    1-based row number (the header is row 1); blank lines count as rows. A
+    field over the csv size limit is reported at its line number, which is
+    the row number unless a quoted field spans lines.
     """
     reader = csv.reader(io.StringIO(source))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("row 1: missing header") from None
-    names = tuple(cell.strip().lstrip("\ufeff") for cell in header)
-    if names != FLOW_CSV_HEADER:
-        missing = [c for c in FLOW_CSV_HEADER if c not in names]
-        if missing:
-            raise DataError(f"row 1: missing column(s) {', '.join(missing)}")
-        raise DataError(f"row 1: expected header {','.join(FLOW_CSV_HEADER)}")
-    return _validate((row_no, row) for row_no, row in enumerate(reader, start=2) if row)
+        header = next(reader, None)
+        if header is None:
+            raise DataError("row 1: missing header")
+        names = tuple(cell.strip().lstrip("\ufeff") for cell in header)
+        if names != FLOW_CSV_HEADER:
+            missing = [c for c in FLOW_CSV_HEADER if c not in names]
+            if missing:
+                raise DataError(f"row 1: missing column(s) {', '.join(missing)}")
+            raise DataError(f"row 1: expected header {','.join(FLOW_CSV_HEADER)}")
+        return _validate((row_no, row) for row_no, row in enumerate(reader, start=2) if row)
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: {exc}") from None
+
+
+def read_utf8(path: str | Path, error: type[FlowspectraError]) -> str:
+    """The text of a UTF-8 file; other bytes raise `error` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def parse_flow_file(path: str | Path) -> FlowRecordSet:
-    return parse_flow_csv(Path(path).read_text(encoding="utf-8"))
+    return parse_flow_csv(read_utf8(path, DataError))
 
 
 def flow_csv_lines(records: FlowRecordSet) -> Iterator[str]:
@@ -225,17 +237,10 @@ def load_bis_mapping(text: str) -> BisMapping:
     missing = [k for k in ("period", "reporter", "counterparty", "value") if k not in keys]
     if missing:
         raise ConfigError(f"mapping missing key(s): {', '.join(missing)}")
-    return BisMapping(
-        period=keys["period"],
-        reporter=keys["reporter"],
-        counterparty=keys["counterparty"],
-        value=keys["value"],
-        filters=dict(filters),
-    )
-
-
-def load_bis_mapping_file(path: str | Path) -> BisMapping:
-    return load_bis_mapping(Path(path).read_text(encoding="utf-8"))
+    for name, value in [*keys.items(), *filters.items()]:
+        if not isinstance(value, str):
+            raise ConfigError(f"mapping value for {name!r} must be a string, got {value!r}")
+    return BisMapping(**keys, filters=filters)
 
 
 @dataclass(frozen=True)
@@ -342,7 +347,10 @@ def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
 
 def convert_bis_file(csv_path: str | Path, mapping: BisMapping) -> BisConversion:
     with open(csv_path, encoding="utf-8", newline="") as handle:
-        return convert_bis_lbs(csv.DictReader(handle), mapping)
+        try:
+            return convert_bis_lbs(csv.DictReader(handle), mapping)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{csv_path}: unreadable extract ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -36,21 +36,6 @@ class NullEnsembleStats:
     seed: int
     mode: str
 
-    def to_json(self, include_lambda_values: bool = False) -> dict:
-        payload = {
-            "mode": self.mode,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "mean": self.mean,
-            "std": self.std,
-            "q01": self.q01,
-            "q50": self.q50,
-            "q99": self.q99,
-        }
-        if include_lambda_values:
-            payload["lambda_values"] = list(self.lambda_values)
-        return payload
-
 
 def _replicas(snapshot: NetworkSnapshot, seeds: list[int], mode: str) -> np.ndarray:
     """One shuffled copy of the snapshot's weights per seed (see

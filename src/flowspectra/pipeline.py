@@ -9,10 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -39,12 +38,8 @@ from .spectral import (
 
 logger = logging.getLogger(__name__)
 
-TIMESERIES_CSV = "timeseries.csv"
-TIMESERIES_JSON = "timeseries.json"
-PARTICIPATION_CSV = "participation.csv"
 
-
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Run configuration; every number in a run is reproducible from it."""
 
@@ -75,27 +70,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown volume mode {self.volume_mode!r}")
 
 
-def config_from_sources(file_values: dict[str, Any] | None = None,
-                        overrides: dict[str, Any] | None = None) -> PipelineConfig:
-    """Build a config with precedence overrides > file > defaults.
-
-    Override values of None mean "not given on the command line".
-    """
-    merged: dict[str, Any] = {}
-    known = set(PipelineConfig.__dataclass_fields__)
-    if file_values:
-        unknown = set(file_values) - known
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        merged.update(file_values)
-    for key, value in (overrides or {}).items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        if value is not None:
-            merged[key] = value
-    return PipelineConfig(**merged)
-
-
 @dataclass(frozen=True)
 class PeriodResult:
     """All per-quarter quantities for one period."""
@@ -124,7 +98,7 @@ class TimeSeriesResult:
 
     results: tuple[PeriodResult, ...]
     fingerprint: str
-    config: dict[str, Any] = field(default_factory=dict)
+    config: PipelineConfig
     skipped: tuple[str, ...] = ()
     failures: tuple[tuple[str, str], ...] = ()
 
@@ -166,8 +140,7 @@ def analyze_period(records: FlowRecordSet, period: str,
         shares = volume_share(snapshot, config.volume_mode)
     except FlowspectraError as exc:
         # Prefix in place so subclass attributes (residual, iterations) survive.
-        if not str(exc).startswith(f"{period}:"):
-            exc.args = (f"{period}: {exc}",)
+        exc.args = (f"{period}: {exc}",)
         raise
 
     return PeriodResult(
@@ -220,7 +193,7 @@ def run_timeseries(records: FlowRecordSet,
     return TimeSeriesResult(
         results=tuple(results),
         fingerprint=dataset_fingerprint(records),
-        config=asdict(config),
+        config=config,
         skipped=tuple(skipped),
         failures=tuple(failures),
     )
@@ -233,6 +206,19 @@ def run_timeseries(records: FlowRecordSet,
 
 
 def period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
+    stats = result.null_stats
+    null = {
+        "mode": stats.mode,
+        "n_samples": stats.n_samples,
+        "seed": stats.seed,
+        "mean": stats.mean,
+        "std": stats.std,
+        "q01": stats.q01,
+        "q50": stats.q50,
+        "q99": stats.q99,
+    }
+    if include_lambda_values:
+        null["lambda_values"] = list(stats.lambda_values)
     return {
         "period": result.period,
         "entities": list(result.entities),
@@ -245,15 +231,15 @@ def period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
         "participation": list(result.participation),
         "volume_share": list(result.volume_share),
         "market_mode": list(result.market_mode),
-        "null": result.null_stats.to_json(include_lambda_values),
+        "null": null,
     }
 
 
 def timeseries_to_json(result: TimeSeriesResult) -> dict:
-    include_values = bool(result.config.get("include_lambda_values", False))
+    include_values = result.config.include_lambda_values
     return {
         "fingerprint": result.fingerprint,
-        "config": dict(result.config),
+        "config": asdict(result.config),
         "skipped": list(result.skipped),
         "failures": [[period, message] for period, message in result.failures],
         "periods": [period_to_json(r, include_values) for r in result.results],
@@ -287,9 +273,9 @@ def export(result: TimeSeriesResult, out_dir: str | Path) -> list[Path]:
     nested results. NaN or infinite values raise ValueError rather than
     being written as non-JSON tokens.
     """
-    tables = ((TIMESERIES_CSV, _timeseries_csv(result)),
-              (PARTICIPATION_CSV, _participation_csv(result)),
-              (TIMESERIES_JSON,
+    tables = (("timeseries.csv", _timeseries_csv(result)),
+              ("participation.csv", _participation_csv(result)),
+              ("timeseries.json",
                json.dumps(timeseries_to_json(result), indent=2, allow_nan=False) + "\n"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -206,6 +206,18 @@ def test_config_file_with_cli_override(flows_csv, tmp_path, capsys):
     assert payload["config"]["null_samples"] == 2
 
 
+def test_config_precedence_cli_over_file_over_defaults(flows_csv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "null_samples": 7}))
+    out = tmp_path / "run"
+    assert main(["timeseries", "--input", str(flows_csv), "--config", str(config),
+                 "--seed", "11", "--out", str(out)]) == 0
+    settings = json.loads((out / "timeseries.json").read_text())["config"]
+    assert settings["seed"] == 11
+    assert settings["null_samples"] == 7
+    assert settings["null_mode"] == "link-shuffle"
+
+
 @pytest.mark.parametrize("values", [
     {"null_samples": 2.5},
     {"seed": 1.5},
@@ -237,3 +249,56 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
+
+
+# --- hostile file bytes ---------------------------------------------------------
+
+OVERSIZED = "9" * 200_000  # past the csv module's 131,072-character field limit
+MAPPING = {"period": "P", "reporter": "R", "counterparty": "C", "value": "V"}
+
+
+def test_flow_csv_that_is_not_utf8_is_a_data_error(tmp_path):
+    source = tmp_path / "flows.csv"
+    source.write_bytes(f"{HEADER}\n2008-Q3,A,B,3\n".encode() + b"2008-Q3,B\xff,A,5\n")
+    assert main(["analyze", "--input", str(source), "--period", "2008-Q3"]) == 1
+
+
+def test_flow_csv_field_over_the_size_limit_names_its_row(tmp_path, caplog):
+    source = tmp_path / "flows.csv"
+    source.write_text(f"{HEADER}\n2008-Q3,A,B,{OVERSIZED}\n")
+    assert main(["analyze", "--input", str(source), "--period", "2008-Q3"]) == 1
+    assert "row 2: field larger than field limit" in caplog.text
+
+
+def _convert(tmp_path, raw: bytes, mapping: bytes = json.dumps(MAPPING).encode()) -> int:
+    (tmp_path / "raw.csv").write_bytes(raw)
+    (tmp_path / "mapping.json").write_bytes(mapping)
+    return main(["convert-bis", "--input", str(tmp_path / "raw.csv"),
+                 "--mapping", str(tmp_path / "mapping.json")])
+
+
+def test_extract_that_is_not_utf8_is_a_data_error(tmp_path):
+    assert _convert(tmp_path, b"P,R,C,V\n2008-Q3,US,G\xffB,5\n") == 1
+
+
+def test_extract_field_over_the_size_limit_is_a_data_error(tmp_path):
+    assert _convert(tmp_path, f"P,R,C,V\n2008-Q3,US,GB,{OVERSIZED}\n".encode()) == 1
+
+
+def test_mapping_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    mapping = b'{"period": "P\xe9", "reporter": "R", "counterparty": "C", "value": "V"}'
+    assert _convert(tmp_path, b"P,R,C,V\n2008-Q3,US,GB,5\n", mapping) == 3
+
+
+def test_mapping_values_that_are_not_strings_are_config_errors(tmp_path):
+    raw = b"P,R,C,V,M\n2008-Q3,US,GB,5,5\n"
+    assert _convert(tmp_path, raw, json.dumps({**MAPPING, "period": 1}).encode()) == 3
+    filtered = json.dumps({**MAPPING, "filters": {"M": 5}}).encode()
+    assert _convert(tmp_path, raw, filtered) == 3
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(flows_csv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"null_mode": "link-shuffl\xe9"}')
+    assert main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
+                 "--config", str(config)]) == 3

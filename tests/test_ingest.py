@@ -234,6 +234,17 @@ def test_load_mapping_rejects_missing_and_unknown_keys():
                          ' "value": "V", "bogus": "1"}')
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"period": 1, "reporter": "R", "counterparty": "C", "value": "V"}', "period"),
+    ('{"period": "P", "reporter": "R", "counterparty": "C", "value": null}', "value"),
+    ('{"period": "P", "reporter": "R", "counterparty": "C", "value": "V",'
+     ' "filters": {"M": 5}}', "M"),
+])
+def test_load_mapping_rejects_values_that_are_not_strings(text, key):
+    with pytest.raises(ConfigError, match=f"mapping value for '{key}' must be a string"):
+        load_bis_mapping(text)
+
+
 # --- synthetic generator -----------------------------------------------------
 
 

@@ -222,12 +222,3 @@ def test_each_stacked_replica_equals_its_own_solve(spectrum_mode, mode):
         else:
             alone, _ = leading_eigenpair(replica.weights)
         assert lam == alone
-
-
-def test_stats_json_payload():
-    stats = null_ensemble(snapshot_of([[0.0, 3.0], [5.0, 0.0]]), 3, seed=2)
-    payload = stats.to_json()
-    assert "lambda_values" not in payload
-    assert payload["mode"] == MODE_LINK_SHUFFLE
-    full = stats.to_json(include_lambda_values=True)
-    assert full["lambda_values"] == list(stats.lambda_values)

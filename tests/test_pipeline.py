@@ -13,12 +13,12 @@ from flowspectra import (
     ConvergenceError,
     DataError,
     FlowRecordSet,
+    MODE_LINK_SHUFFLE,
     MODE_SYMMETRIZED,
     MODE_WEIGHT_PERMUTE,
     PipelineConfig,
     analyze_period,
     build_snapshot,
-    config_from_sources,
     convert_bis_lbs,
     export,
     generate_synthetic_series,
@@ -28,8 +28,9 @@ from flowspectra import (
     serialize_flow_csv,
     timeseries_to_json,
 )
+from flowspectra.cli import main
 from flowspectra.nullmodel import NullEnsembleStats
-from flowspectra.pipeline import PeriodResult, dataset_fingerprint
+from flowspectra.pipeline import PeriodResult, dataset_fingerprint, period_to_json
 
 HEADER = "period,reporter,counterparty,amount"
 TWO_NODE = f"{HEADER}\n2008-Q3,A,B,3\n2008-Q3,B,A,5"
@@ -276,22 +277,32 @@ def test_degenerate_null_equality_case():
 # --- configuration -----------------------------------------------------------
 
 
-def test_config_precedence_cli_over_file_over_defaults():
-    config = config_from_sources({"seed": 3, "null_samples": 7}, {"seed": 11})
-    assert config.seed == 11
-    assert config.null_samples == 7
-    assert config.null_mode == "link-shuffle"
-
-
-def test_config_rejects_unknown_keys_and_bad_values():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        config_from_sources({"bogus": 1}, {})
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bogus": 1}))
+    source = tmp_path / "flows.csv"
+    source.write_text(TWO_NODE)
+    assert main(["analyze", "--input", str(source), "--period", "2008-Q3",
+                 "--config", str(config)]) == 3
     with pytest.raises(ConfigError):
         PipelineConfig(null_samples=0)
     with pytest.raises(ConfigError):
         PipelineConfig(null_mode="scramble")
     with pytest.raises(ConfigError):
         PipelineConfig(seed=-2)
+
+
+def test_config_is_frozen_and_carried_by_the_result():
+    config = PipelineConfig(seed=5, null_samples=5)
+    for field in dataclasses.fields(PipelineConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field.name, getattr(config, field.name))
+    result = run_timeseries(parse_flow_csv(TWO_NODE), config)
+    assert result.config is config
+    assert timeseries_to_json(result)["config"] == {
+        "seed": 5, "null_samples": 5, "null_mode": "link-shuffle",
+        "spectrum_mode": "directed-perron", "volume_mode": "both",
+        "include_lambda_values": False}
 
 
 # --- exports -------------------------------------------------------------------
@@ -343,6 +354,23 @@ def test_export_json_holds_every_result_field(tmp_path):
         for field in dataclasses.fields(NullEnsembleStats):
             value = getattr(period.null_stats, field.name)
             assert entry["null"][field.name] == as_json(value), field.name
+
+
+def test_stats_json_payload():
+    result = analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3",
+                            PipelineConfig(seed=2, null_samples=3))
+    stats = result.null_stats
+    payload = period_to_json(result, include_lambda_values=False)["null"]
+    assert list(payload) == ["mode", "n_samples", "seed", "mean", "std",
+                             "q01", "q50", "q99"]
+    assert "lambda_values" not in payload
+    assert payload["mode"] == MODE_LINK_SHUFFLE
+    assert [payload[key] for key in payload] == [
+        stats.mode, stats.n_samples, stats.seed, stats.mean, stats.std,
+        stats.q01, stats.q50, stats.q99]
+    full = period_to_json(result, include_lambda_values=True)["null"]
+    assert list(full) == [*payload, "lambda_values"]
+    assert full["lambda_values"] == list(stats.lambda_values)
 
 
 def test_export_refuses_non_finite_json(tmp_path):

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "agglomerate",
     "analyze_period",
     "build_snapshot",
-    "config_from_sources",
     "convert_bis_lbs",
     "dendrogram_to_json",
     "density",
@@ -48,12 +47,13 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(flowspectra.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(flowspectra, name), name
 
 
 def test_removed_names_stay_removed():
-    for name in ("FlowRecord", "snapshot_to_dot", "snapshot_to_json", "timeseries_from_json"):
+    for name in ("FlowRecord", "config_from_sources", "snapshot_to_dot", "snapshot_to_json",
+                 "timeseries_from_json"):
         assert not hasattr(flowspectra, name), name
