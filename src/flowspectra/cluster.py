@@ -87,9 +87,9 @@ def agglomerate(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
     if linkage not in LINKAGES:
         raise DataError(f"unknown linkage {linkage!r} (expected one of {LINKAGES})")
     values = np.asarray(distances, dtype=float)
-    n = values.shape[0]
-    if values.shape != (n, n) or n < 2:
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or len(values) < 2:
         raise DataError("need a square distance matrix over at least 2 items")
+    n = len(values)
 
     # One row and column per cluster id. +inf marks the diagonal, retired ids
     # and ids not formed yet, so the minimum is always over active pairs.

@@ -363,7 +363,7 @@ def shift_quarter(period: str, steps: int) -> str:
     _check_period(period)
     year, quarter = int(period[:4]), int(period[-1])
     index = year * 4 + (quarter - 1) + steps
-    if index < 0:
+    if not 0 <= index < 4 * 10_000:  # years 0000 to 9999
         raise DataError(f"quarter arithmetic left the calendar: {period} {steps:+d}")
     return f"{index // 4:04d}-Q{index % 4 + 1}"
 

@@ -15,7 +15,13 @@ import numpy as np
 from .errors import DataError, FlowspectraError
 from .ingest import derive_seed
 from .network import NetworkSnapshot
-from .spectral import MODE_DIRECTED, MODE_SYMMETRIZED, SPECTRUM_MODES, leading_eigenpair
+from .spectral import (
+    MODE_DIRECTED,
+    MODE_SYMMETRIZED,
+    SPECTRUM_MODES,
+    leading_eigenpair,
+    symmetric_lambda_max,
+)
 
 MODE_LINK_SHUFFLE = "link-shuffle"
 MODE_WEIGHT_PERMUTE = "weight-permute"
@@ -94,7 +100,7 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
         raise DataError("n_samples must be at least 1")
     stack = _replicas(snapshot, [derive_seed(seed, k) for k in range(n_samples)], mode)
     if spectrum_mode == MODE_SYMMETRIZED:
-        lambdas = np.linalg.eigvalsh((stack + stack.swapaxes(1, 2)) / 2.0)[:, -1]
+        lambdas = symmetric_lambda_max((stack + stack.swapaxes(1, 2)) / 2.0)
     else:
         try:
             lambdas, _ = leading_eigenpair(stack)

@@ -34,6 +34,7 @@ from .spectral import (
     ipr,
     leading_eigenpair,
     participation_percent,
+    symmetric_lambda_max,
 )
 
 logger = logging.getLogger(__name__)
@@ -130,9 +131,9 @@ def analyze_period(records: FlowRecordSet, period: str,
         sym = symmetrize(snapshot)
         _, eigenvectors = full_spectrum(sym)
         if config.spectrum_mode == MODE_SYMMETRIZED:
-            # The null's eigvalsh, not eigh's lambda (which may differ in the
-            # last bits), so a replica equal to the network has the same lambda.
-            lam, market_mode = float(np.linalg.eigvalsh(sym)[-1]), eigenvectors[0]
+            # The null's lambda, not eigh's (which may differ in the last
+            # bits), so a replica equal to the network has the same lambda.
+            lam, market_mode = float(symmetric_lambda_max(sym)), eigenvectors[0]
         else:
             lam, market_mode = leading_eigenpair(snapshot.weights)
         stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode,

@@ -24,7 +24,7 @@ RESIDUAL_RTOL = 1e-12
 MAX_ITERATIONS = 100_000
 
 # Power iteration runs in blocks of this many steps and tests convergence
-# once per block, for every step of it; only the cost changes, not the bits.
+# once per block, on the block's last pair.
 _BLOCK_STEPS = 16
 
 _NORM_TOL = 1e-10
@@ -118,10 +118,9 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     vector is the uniform 1/sqrt(n). A stack runs one iteration over all its
     matrices; each keeps its own order, scale, shift and residual test, so a
     matrix gets the same bits alone as in any stack. The steps run in blocks
-    of 16 that only multiply and normalize; after a block, the tests of all
-    its steps are evaluated at once, and each matrix returns the pair of the
-    first step that passes, the same bits as testing every step as it runs.
-    Converged matrices leave the iteration at the end of the block.
+    of 16 that only multiply and normalize, and only the last pair of a block
+    is tested: each matrix returns the first block-end pair that passes and
+    leaves the iteration there.
 
     Returns (spectral radius, nonnegative unit eigenvector) for a matrix,
     and an (R,) array of radii with an (R, N) array of vectors for a stack.
@@ -146,6 +145,8 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
         raise DataError("empty matrix")
 
     flat = a.reshape(count, n * n)
+    for k in np.flatnonzero(~np.isfinite(flat).all(axis=1)):
+        raise DataError("matrix must be finite", index=int(k))
     for k in np.flatnonzero(flat.min(axis=1) < 0):
         raise DataError("power iteration requires a nonnegative matrix", index=int(k))
     peaks = flat.max(axis=1)
@@ -196,44 +197,34 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     v = np.full((len(active), n), 1.0 / math.sqrt(n))
     iterations = 0
     while len(active):
-        # A block of steps that only multiply and normalize, storing every
-        # iterate; the last block ends at exactly MAX_ITERATIONS.
+        # A block of steps that only multiply and normalize; the last block
+        # ends at exactly MAX_ITERATIONS.
         steps = min(_BLOCK_STEPS, MAX_ITERATIONS - iterations)
-        vs = np.empty((steps + 1, len(active), n))
-        ws = np.empty((steps, len(active), n))
-        vs[0] = v
-        for s in range(steps):
-            w = np.matmul(b, vs[s, :, :, None], out=ws[s, :, :, None])[:, :, 0]
-            # ||B v|| >= shift > 0 for unit v >= 0
-            np.divide(w, np.sqrt(_dots(w, w))[:, None], out=vs[s + 1])
+        for _ in range(steps):
+            u = v
+            w = np.matmul(b, u[:, :, None])[:, :, 0]
+            # ||B u|| >= shift > 0 for unit u >= 0
+            v = w / np.sqrt(_dots(w, w))[:, None]
         iterations += steps
 
-        # The tests of every step of the block at once, each as if it ran
-        # at its own step, so a matrix returns the pair of its first pass.
-        mu = _dots(vs[:steps], ws)
+        # One test per block, on its last pair (u, w = B u). For the shifted
+        # matrix, A u - lam u == B u - mu u, so the residual costs no matvec.
+        mu = _dots(u, w)
         lam = mu - shift
-        # For the shifted matrix, A v - lam v == B v - mu v, so the residual
-        # of each candidate pair costs no extra matvec.
-        ws -= mu[:, :, None] * vs[:steps]
-        res = np.sqrt(_dots(ws, ws))
-        passing = res <= RESIDUAL_RTOL * lam
-        finished = passing.any(axis=0)
-        if finished.any():
-            at, cols = passing.argmax(axis=0)[finished], np.flatnonzero(finished)
-            with np.errstate(over="ignore"):
-                radii = np.ldexp(lam[at, cols], exponents[cols])
-            overflow = np.isinf(radii)
-            if overflow.any():
-                # The matrix that finishes first; on a tie, the first in the stack.
-                k = active[cols[overflow][np.argmin(at[overflow])]]
-                raise DataError("spectral radius exceeds the float range", index=int(k))
-            lambdas[active[cols]] = radii
-            vectors[active[cols]] = vs[at, cols]
+        r = w - mu[:, None] * u
+        res = np.sqrt(_dots(r, r))
+        finished = res <= RESIDUAL_RTOL * lam
+        done = active[finished]
+        with np.errstate(over="ignore"):
+            lambdas[done] = np.ldexp(lam[finished], exponents[finished])
+        for k in done[np.isinf(lambdas[done])]:
+            raise DataError("spectral radius exceeds the float range", index=int(k))
+        vectors[done] = u[finished]
         keep = np.flatnonzero(~finished)
         if iterations == MAX_ITERATIONS and len(keep):
             k = keep[0]
             with np.errstate(over="ignore"):  # scaled back, it may pass the float max
-                res, lam = np.ldexp([res[-1, k], lam[-1, k]], exponents[k]).tolist()
+                res, lam = np.ldexp([res[k], lam[k]], exponents[k]).tolist()
             raise ConvergenceError(
                 f"power iteration did not converge within {MAX_ITERATIONS} iterations "
                 f"(residual {res:.3e}, lambda {lam:.6e})",
@@ -241,8 +232,23 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
             )
         b = _compact(b, keep)
         active, shift, exponents = active[keep], shift[keep], exponents[keep]
-        v = vs[steps, keep]
+        v = v[keep]
     return lambdas, np.take_along_axis(vectors, np.argsort(order, axis=1), axis=1)
+
+
+def _unit_scaled(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`sym`, or each matrix of a stack, scaled by the power of two that puts
+    its largest |entry| in [0.5, 1), and the exponents to scale back by.
+    The scaling is exact; LAPACK's own, past about 1e146, is not."""
+    exponents = np.frexp(np.abs(sym).max(axis=(-2, -1)))[1]
+    return np.ldexp(sym, -exponents[..., None, None]), exponents
+
+
+def symmetric_lambda_max(sym: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue of a symmetric (N, N) matrix, or the (R,) largest
+    eigenvalues of an (R, N, N) stack, each with the bits of the matrix alone."""
+    scaled, exponents = _unit_scaled(sym)
+    return np.ldexp(np.linalg.eigvalsh(scaled)[..., -1], exponents)
 
 
 def full_spectrum(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,9 +256,10 @@ def full_spectrum(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a finite, exactly symmetric (N, N) matrix: `eigenvectors[k]` belongs to
     `eigenvalues[k]`. Each vector's component of largest |value| (the first
     on a tie) is positive."""
-    values, basis = np.linalg.eigh(_symmetric_matrix(sym))
+    scaled, exponent = _unit_scaled(_symmetric_matrix(sym))
+    values, basis = np.linalg.eigh(scaled)
     order = np.argsort(-values, kind="stable")
     eigenvectors = basis.T[order]
     pivots = np.abs(eigenvectors).argmax(axis=1)
     eigenvectors[eigenvectors[np.arange(len(order)), pivots] < 0] *= -1.0
-    return values[order], eigenvectors
+    return np.ldexp(values[order], exponent), eigenvectors

@@ -90,6 +90,14 @@ def test_timeseries_requires_out(flows_csv):
     assert main(["timeseries", "--input", str(flows_csv)]) == 3
 
 
+def test_timeseries_of_a_header_only_file_is_a_data_error(tmp_path):
+    source = tmp_path / "flows.csv"
+    source.write_text(HEADER + "\n")
+    out = tmp_path / "run"
+    assert main(["timeseries", "--input", str(source), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_timeseries_writes_and_is_byte_identical(flows_csv, tmp_path):
     args = ["timeseries", "--input", str(flows_csv), "--seed", "6",
             "--null-samples", "5"]
@@ -225,6 +233,8 @@ def test_config_precedence_cli_over_file_over_defaults(flows_csv, tmp_path):
     {"null_samples": True},
     {"include_lambda_values": "no"},
     {"include_lambda_values": 1},
+    [{"seed": 1}],
+    "seed",
 ])
 def test_config_file_values_of_the_wrong_type_are_config_errors(flows_csv, tmp_path, values):
     config = tmp_path / "config.json"

@@ -54,6 +54,18 @@ def test_distance_rejects_zero_matrix():
         distance_matrix(symmetric_of(np.zeros((3, 3))))
 
 
+def test_distance_rejects_negative_weights():
+    with pytest.raises(DataError, match="needs nonnegative weights"):
+        distance_matrix(symmetric_of([[0.0, -1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("distances", [np.zeros((1, 1)), np.zeros((2, 3)), np.zeros(3),
+                                       np.float64(0.0)], ids=["1x1", "2x3", "1-D", "0-D"])
+def test_agglomerate_needs_a_square_matrix_over_two_items(distances):
+    with pytest.raises(DataError, match="square distance matrix over at least 2 items"):
+        agglomerate(distances)
+
+
 def test_agglomerate_two_leaves():
     dendrogram = agglomerate(np.array([[0.0, 0.3], [0.3, 0.0]]))
     assert len(dendrogram.merges) == 1
@@ -294,8 +306,9 @@ def test_1200_leaf_chain_renders_without_recursion(deep):
     ([(0, 1, 3), (0, 2, 4)], "merge 1 joins cluster 0, which is not a distinct"),
     ([(0, 1, 3), (2, 3, 5)], "merge 1 forms id 5, expected 4"),
     ([(-1, 1, 3), (2, 3, 4)], "merge 0 joins cluster -1, which is not a distinct"),
+    ([(0, 1, 3)], "^expected 2 merges, got 1$"),
 ], ids=["self-merge", "child-formed-later", "cycle", "reused-child", "wrong-id",
-        "negative-id"])
+        "negative-id", "too-few"])
 def test_malformed_merge_lists_are_rejected(merges, message):
     with pytest.raises(DataError, match=message):
         Dendrogram(n_leaves=3, merges=[Merge(a, b, 0.1 * (k + 1), i)

@@ -63,6 +63,15 @@ def test_parse_rejects_missing_column():
         parse_flow_csv("period,reporter,counterparty\n2008-Q3,US,GB")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "^row 1: missing header$"),
+    ("reporter,period,counterparty,amount\n", f"^row 1: expected header {HEADER}$"),
+], ids=["empty", "wrong-order"])
+def test_parse_rejects_an_absent_or_reordered_header(text, message):
+    with pytest.raises(DataError, match=message):
+        parse_flow_csv(text)
+
+
 def test_parse_uppercases_and_trims_codes():
     records = parse_flow_csv(f"{HEADER}\n2008-Q3, us , gb ,3")
     assert as_tuples(records)[0][1:3] == ("US", "GB")
@@ -187,11 +196,15 @@ def test_convert_normalizes_compact_periods_and_drops_junk():
         {"TIME_PERIOD": "notadate", "REP": "US", "CP": "GB", "VAL": "1", "MEASURE": "S"},
         {"TIME_PERIOD": "2008-Q3", "REP": "US", "CP": "US", "VAL": "9", "MEASURE": "S"},
         {"TIME_PERIOD": "2008-Q3", "REP": "US", "CP": "GB", "VAL": "-2", "MEASURE": "S"},
+        {"TIME_PERIOD": "2008-Q3", "REP": "U$", "CP": "GB", "VAL": "1", "MEASURE": "S"},
+        {"TIME_PERIOD": "2008-Q3", "REP": "US", "CP": "GB", "VAL": "abc", "MEASURE": "S"},
+        {"TIME_PERIOD": "2008-Q3", "REP": "US", "CP": "GB", "VAL": "inf", "MEASURE": "S"},
     ]
     conversion = convert_bis_lbs(rows, MAPPING)
-    assert as_tuples(conversion.records)[0][0] == "2008-Q4"
+    assert as_tuples(conversion.records) == [("2008-Q4", "US", "FR", 3.0)]
     assert conversion.drop_reasons == {
         "malformed-period": 1, "self-loop": 1, "negative-value": 1,
+        "malformed-entity": 1, "non-numeric-value": 1, "missing-value": 1,
     }
 
 
@@ -232,6 +245,11 @@ def test_load_mapping_rejects_missing_and_unknown_keys():
     with pytest.raises(ConfigError, match="unknown"):
         load_bis_mapping('{"period": "P", "reporter": "R", "counterparty": "C",'
                          ' "value": "V", "bogus": "1"}')
+    with pytest.raises(ConfigError, match="^mapping must be a JSON object$"):
+        load_bis_mapping('["period", "reporter", "counterparty", "value"]')
+    with pytest.raises(ConfigError, match="^mapping 'filters' must be an object$"):
+        load_bis_mapping('{"period": "P", "reporter": "R", "counterparty": "C",'
+                         ' "value": "V", "filters": ["M"]}')
 
 
 @pytest.mark.parametrize("text, key", [
@@ -287,6 +305,8 @@ def test_synthetic_never_emits_self_loops_or_bad_amounts():
     dict(n_core=1, n_periphery=0),
     dict(n_core=2, n_periphery=0, core_weight_scale=0.0),
     dict(n_core=2, n_periphery=0, link_prob_pp=1.5),
+    dict(n_periphery=-1),
+    dict(seed=-1),
 ])
 def test_synthetic_rejects_bad_arguments(kwargs):
     args = dict(n_core=2, n_periphery=2, core_weight_scale=1.0,
@@ -301,12 +321,21 @@ def test_synthetic_series_covers_requested_quarters():
                                         start_period="1999-Q3")
     assert records.periods == ("1999-Q3", "1999-Q4", "2000-Q1", "2000-Q2",
                                "2000-Q3", "2000-Q4")
+    with pytest.raises(DataError, match="^n_periods must be at least 1$"):
+        generate_synthetic_series(2, 3, 5.0, 1.0, n_periods=0, seed=1)
 
 
 def test_quarter_arithmetic():
     assert shift_quarter("1999-Q4", 1) == "2000-Q1"
     assert shift_quarter("2000-Q1", -1) == "1999-Q4"
     assert period_sequence("2018-Q3", 3) == ("2018-Q3", "2018-Q4", "2019-Q1")
+    for period, steps in (("0000-Q1", -1), ("9999-Q4", 1)):
+        with pytest.raises(DataError, match="left the calendar"):
+            shift_quarter(period, steps)
+    with pytest.raises(DataError, match="malformed period label '2000Q1'"):
+        shift_quarter("2000Q1", 1)
+    with pytest.raises(DataError, match="left the calendar: 9999-Q3 \\+2"):
+        generate_synthetic_series(2, 2, 1.0, 1.0, n_periods=3, seed=1, start_period="9999-Q3")
 
 
 def test_derive_seed_is_deterministic_and_spreads():

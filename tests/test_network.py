@@ -63,6 +63,13 @@ def test_snapshot_invariants_reject_bad_matrices():
         NetworkSnapshot("2008-Q3", ("A", "B"), np.array([[0.0, -2.0], [3.0, 0.0]]))
     with pytest.raises(DataError):
         NetworkSnapshot("2008-Q3", ("B", "A"), np.zeros((2, 2)))
+    with pytest.raises(DataError, match="at least 2 entities"):
+        NetworkSnapshot("2008-Q3", ("A",), np.zeros((1, 1)))
+    with pytest.raises(DataError, match=r"weights must be 2x2, got \(2, 3\)"):
+        NetworkSnapshot("2008-Q3", ("A", "B"), np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="weights must be finite"):
+            NetworkSnapshot("2008-Q3", ("A", "B"), np.array([[0.0, bad], [3.0, 0.0]]))
     with pytest.raises(DataError, match="2008-Q3: total volume overflows"):
         NetworkSnapshot("2008-Q3", ("A", "B", "C"),
                         np.array([[0.0, 1e308, 1.5e308], [0.0] * 3, [0.0] * 3]))

@@ -290,6 +290,10 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         PipelineConfig(null_mode="scramble")
     with pytest.raises(ConfigError):
         PipelineConfig(seed=-2)
+    with pytest.raises(ConfigError, match="unknown spectrum mode 'bogus'"):
+        PipelineConfig(spectrum_mode="bogus")
+    with pytest.raises(ConfigError, match="unknown volume mode 'bogus'"):
+        PipelineConfig(volume_mode="bogus")
 
 
 def test_config_is_frozen_and_carried_by_the_result():

@@ -63,9 +63,10 @@ def assert_leading_pair(a, rtol, pair=None):
 
 
 def reference_power_iteration(a):
-    """One matrix at a time, testing every step: the loop the stacked solver
-    replaced, kept as its reference. Same scaling, canonical entity order,
-    shift and residual test, so the stack must give the same bits. Past
+    """One matrix at a time: the loop the stacked solver replaced, kept as its
+    reference. Same scaling, canonical entity order, shift, and residual test
+    at the end of each block of `spectral._BLOCK_STEPS` steps and at
+    `spectral.MAX_ITERATIONS`, so the stack must give the same bits. Past
     `spectral.MAX_ITERATIONS` it raises with the residual of the last step."""
     exponent = int(np.frexp(a.max())[1])
     a = np.ldexp(a, -exponent)
@@ -78,13 +79,14 @@ def reference_power_iteration(a):
     shift = 0.5 * row_sums.sum() / np.count_nonzero(row_sums)
     b = a + shift * np.eye(len(a))
     v = np.full(len(a), 1.0 / math.sqrt(len(a)))
-    for _ in range(spectral.MAX_ITERATIONS):
+    for step in range(1, spectral.MAX_ITERATIONS + 1):
         w = b @ v
-        mu = float(v @ w)
-        lam = mu - shift
-        residual = float(np.linalg.norm(w - mu * v))
-        if residual <= RESIDUAL_RTOL * lam:
-            return math.ldexp(lam, exponent), v[inverse]
+        if step % spectral._BLOCK_STEPS == 0 or step == spectral.MAX_ITERATIONS:
+            mu = float(v @ w)
+            lam = mu - shift
+            residual = float(np.linalg.norm(w - mu * v))
+            if residual <= RESIDUAL_RTOL * lam:
+                return math.ldexp(lam, exponent), v[inverse]
         v = w / float(np.linalg.norm(w))
     raise ConvergenceError("reference did not converge",
                            residual=math.ldexp(residual, exponent))
@@ -113,13 +115,28 @@ def test_weighted_40_cycle_gives_lambda_within_1e_10():
 def test_null_heavy_series_fits_a_step_budget(monkeypatch):
     # A deterministic guard on step counts, not on time: 24 quarters of 6 core
     # and 25 periphery entities whose periphery links ramp from sparse (5%) to
-    # dense (50%), with 100 replicas each. The slowest replica needs 635 steps;
-    # shifted by half the largest row sum and polished, it needed 1,244.
+    # dense (50%), with 100 replicas each. The slowest replica passes at the
+    # end of its 40th block, step 640; shifted by half the largest row sum
+    # and polished, it needed 1,244.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1000)
+    # Every compaction but a solve's first ends a block, over the matrices
+    # still active in it.
+    sizes, compact = [], spectral._compact
+
+    def counting(stack, keep):
+        sizes.append(len(stack))
+        return compact(stack, keep)
+
+    monkeypatch.setattr(spectral, "_compact", counting)
     records = generate_synthetic_series(6, 25, 100.0, 1.0, 24, seed=1101,
                                         link_prob_start=0.05, link_prob_end=0.5)
+    blocks = 0
     for period in records.periods:
+        sizes.clear()
         null_ensemble(build_snapshot(records, period), 100, seed=1102)
+        blocks += sum(sizes[1:])
+    # The series takes 14,073 active-matrix blocks; the bound is 1% above.
+    assert blocks <= 14_213
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError,
@@ -283,6 +300,19 @@ def test_stack_of_families_at_mixed_scales(case):
             assert np.linalg.norm(a @ v) == 0.0
         else:
             assert_leading_pair(a, rtol, (lam, v))
+
+
+@pytest.mark.parametrize("block_steps", [1, 5, 16])
+@given(mixed_stack())
+def test_stack_equals_the_reference_at_any_block_length(block_steps, case):
+    _, stack = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_BLOCK_STEPS", block_steps)
+        lams, vectors = leading_eigenpair(stack.copy())
+        for a, lam, v in zip(stack, lams, vectors):
+            alone, alone_v = reference_power_iteration(a)
+            assert lam == alone
+            assert np.array_equal(v, alone_v)
 
 
 # --- relabelling -------------------------------------------------------------------

@@ -139,6 +139,19 @@ def test_nilpotent_matrix_has_zero_radius_and_exact_pair():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape, message", [
+    ((2, 3), r"square matrix or a stack of them, got shape \(2, 3\)"),
+    ((3,), r"square matrix or a stack of them, got shape \(3,\)"),
+    ((2, 2, 3), r"square matrix or a stack of them, got shape \(2, 2, 3\)"),
+    ((1, 2, 2, 2), r"square matrix or a stack of them, got shape \(1, 2, 2, 2\)"),
+    ((0, 0), "^empty matrix$"),
+    ((2, 0, 0), "^empty matrix$"),
+], ids=["non-square", "1-D", "non-square-stack", "4-D", "empty", "empty-stack"])
+def test_leading_pair_input_shape_is_checked(shape, message):
+    with pytest.raises(DataError, match=message):
+        leading_eigenpair(np.ones(shape))
+
+
 def test_stack_errors_name_the_matrix():
     fine = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
     huge = np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308))  # radius 2e308
@@ -148,12 +161,19 @@ def test_stack_errors_name_the_matrix():
     with pytest.raises(DataError, match="exceeds the float range") as excinfo:
         leading_eigenpair(np.array([fine, huge, fine]))
     assert excinfo.value.index == 1
+    for bad in (np.nan, np.inf):
+        broken = fine.copy()
+        broken[0, 1] = bad
+        with pytest.raises(DataError, match="matrix must be finite") as excinfo:
+            leading_eigenpair(np.array([fine, broken, fine]))
+        assert excinfo.value.index == 1
 
 
 # Two 2x2 matrices whose radius is past the float maximum. Their largest
 # entries scale to the same power of two, so they take the steps they take at
-# unit scale: the first returns its pair at step 9, the second at step 1.
-LATE_OVERFLOW = np.array([[1.0, 1.7], [1.7, 0.1]]) * 2.0 ** 1023
+# unit scale: the first needs 116 steps (its pair passes at the end of the
+# eighth block), the second passes at the end of the first block.
+LATE_OVERFLOW = np.array([[1.7, 0.2], [0.3, 1.5]]) * 2.0 ** 1023
 EARLY_OVERFLOW = np.array([[1.2, 1.5], [1.5, 1.2]]) * 2.0 ** 1023
 
 
@@ -163,7 +183,7 @@ EARLY_OVERFLOW = np.array([[1.2, 1.5], [1.5, 1.2]]) * 2.0 ** 1023
     ([LATE_OVERFLOW, EARLY_OVERFLOW, EARLY_OVERFLOW], 1),
 ])
 def test_overflow_error_names_the_matrix_that_finishes_first(stack, index):
-    # On a tie in step, the first in the stack is named.
+    # Within one block, the first in the stack is named.
     with pytest.raises(DataError, match="exceeds the float range") as excinfo:
         leading_eigenpair(np.array(stack))
     assert excinfo.value.index == index
@@ -207,18 +227,6 @@ def test_uniform_eigenvector_returns_at_the_first_step(monkeypatch, matrix):
     lam, v = leading_eigenpair(a)
     assert lam == pytest.approx(max(abs(np.linalg.eigvals(a))), rel=1e-15)
     assert v == pytest.approx(np.full(2, 1 / math.sqrt(2)), rel=1e-15)
-
-
-@pytest.mark.parametrize("block_steps", [1, 5])
-def test_block_length_does_not_change_the_bits(monkeypatch, block_steps):
-    rng = np.random.default_rng(12)
-    stack = rng.random((30, 9, 9)) * (rng.random((30, 9, 9)) < 0.3)
-    stack[:, 0, 1] = 1.0
-    expected = leading_eigenpair(stack.copy())
-    monkeypatch.setattr(spectral, "_BLOCK_STEPS", block_steps)
-    lams, vectors = leading_eigenpair(stack)
-    assert np.array_equal(lams, expected[0])
-    assert np.array_equal(vectors, expected[1])
 
 
 def test_only_matrices_without_a_two_cycle_take_the_nilpotent_test(monkeypatch):
