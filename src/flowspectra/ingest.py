@@ -387,8 +387,9 @@ def _check_synthetic_args(n_core: int, n_periphery: int, core_weight_scale: floa
         raise DataError("n_periphery must be nonnegative")
     if n_core + n_periphery < 2:
         raise DataError("need at least 2 entities in total")
-    if core_weight_scale <= 0 or periphery_weight_scale <= 0:
-        raise DataError("weight scales must be positive")
+    if not all(scale > 0 and math.isfinite(scale)
+               for scale in (core_weight_scale, periphery_weight_scale)):
+        raise DataError("weight scales must be positive and finite")
     if not 0.0 <= link_prob_pp <= 1.0:
         raise DataError("link_prob_pp must lie in [0, 1]")
 

@@ -71,27 +71,6 @@ def participation_percent(market_mode: np.ndarray) -> np.ndarray:
     return (_unit_vectors(market_mode) ** 2) * 100.0
 
 
-def _nilpotent_null_vector(a: np.ndarray) -> np.ndarray | None:
-    """Exact zero-spectral-radius detection for a nonnegative matrix.
-
-    Nonnegative arithmetic has no cancellation, so applying the matrix to a
-    strictly positive start vector reaches exact zero within n steps iff the
-    matrix is nilpotent (its digraph is acyclic, e.g. a one-way flow
-    pattern). Returns a unit null vector in that case, else None.
-    """
-    n = a.shape[0]
-    if np.any((a > 0) & (a.T > 0)):
-        return None  # a 2-cycle or positive diagonal forces a positive radius
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(n):
-        w = a @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return v
-        v = w / norm_w
-    return None
-
-
 def _compact(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Move the kept matrices, in order, to the front of `stack` (in place,
     with no temporary stack) and return that prefix as a view."""
@@ -120,7 +99,10 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     matrix gets the same bits alone as in any stack. The steps run in blocks
     of 16 that only multiply and normalize, and only the last pair of a block
     is tested: each matrix returns the first block-end pair that passes and
-    leaves the iteration there.
+    leaves the iteration there. Whether the radius is 0 is decided exactly on
+    the 0/1 pattern: it is 0 when the lending pattern has no cycle. Such a
+    matrix is not iterated, and its vector is spread evenly over the entities
+    that start a longest chain, so A v = 0 exactly.
 
     Returns (spectral radius, nonnegative unit eigenvector) for a matrix,
     and an (R,) array of radii with an (R, N) array of vectors for a stack.
@@ -128,7 +110,9 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     the shifted matrix, satisfies ||A v - lambda v|| <= RESIDUAL_RTOL * lambda.
     A radius beyond the float range raises DataError, and so do weights too
     far apart for one float scale to keep every positive weight positive.
-    Errors about one matrix of a stack carry its position as `index`.
+    A pair that has not passed by MAX_ITERATIONS steps, as on a cycle whose
+    weight product underflows, raises ConvergenceError. Errors about one
+    matrix of a stack carry its position as `index`.
 
     A C-contiguous float64 stack is the work array and is overwritten, so
     solving R matrices holds no second R x N x N array; a matrix is copied.
@@ -171,18 +155,23 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
         np.take(a[k], order[k], axis=0, out=rows, mode="clip")
         np.take(rows, order[k], axis=1, out=a[k], mode="clip")
 
-    # A 2-cycle or a positive diagonal forces a positive radius, so only the
-    # matrices without one take the exact nilpotent test.
-    positive = a > 0
-    iterate = (positive & positive.swapaxes(1, 2)).any(axis=(1, 2))
+    # Every entity starts a lending path of 0 links, and one of k + 1 links
+    # when it lends to one that starts a path of k. The sets only shrink with
+    # k, so they stop changing within n steps: at a nonempty set exactly when
+    # the pattern has a cycle (radius > 0). A nilpotent matrix keeps its last
+    # nonempty set, the entities that start a longest chain.
+    links = a > 0
+    starts = np.ones((count, n), dtype=bool)
+    while True:
+        longer = np.matmul(links, starts[:, :, None])[:, :, 0]
+        iterate = longer.any(axis=1)
+        if np.array_equal(longer[iterate], starts[iterate]):
+            break
+        starts[iterate] = longer[iterate]
+    # Nobody lends to a chain head, so A v = 0 holds exactly for the vector
+    # spread evenly over them.
     lambdas = np.zeros(count)
-    vectors = np.empty((count, n))
-    for k in np.flatnonzero(~iterate):
-        null_vector = _nilpotent_null_vector(a[k])
-        if null_vector is None:
-            iterate[k] = True
-        else:
-            vectors[k] = null_vector
+    vectors = starts / np.sqrt(np.count_nonzero(starts, axis=1))[:, None]
 
     # A smaller shift converges faster until it nears 0, where a periodic
     # matrix's -rho takes over; so rows that sum to 0 stay out of the mean.

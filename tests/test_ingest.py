@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -307,12 +309,18 @@ def test_synthetic_never_emits_self_loops_or_bad_amounts():
     dict(n_core=2, n_periphery=0, link_prob_pp=1.5),
     dict(n_periphery=-1),
     dict(seed=-1),
+    dict(core_weight_scale=math.nan),
+    dict(core_weight_scale=math.inf),
+    dict(periphery_weight_scale=math.nan),
+    dict(periphery_weight_scale=math.inf),
 ])
 def test_synthetic_rejects_bad_arguments(kwargs):
     args = dict(n_core=2, n_periphery=2, core_weight_scale=1.0,
                 periphery_weight_scale=1.0, link_prob_pp=0.5, seed=0)
     args.update(kwargs)
-    with pytest.raises(DataError):
+    scale = {"core_weight_scale", "periphery_weight_scale"} & kwargs.keys()
+    with pytest.raises(DataError, match="^weight scales must be positive and finite$"
+                       if scale else None):
         generate_synthetic(**args)
 
 

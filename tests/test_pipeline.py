@@ -104,6 +104,19 @@ def test_symmetrized_gap_vanishes_when_every_replica_equals_the_network():
         assert result.gap == 0.0, seed
 
 
+def test_analyze_one_way_quarter_has_a_zero_radius_and_its_chain_head_as_market_mode():
+    # A -> B -> C and D -> C: no cycle, and A alone starts the longest chain.
+    # Permuting weights keeps the pattern, so every replica is nilpotent too.
+    records = parse_flow_csv(f"{HEADER}\n2008-Q3,A,B,3\n2008-Q3,B,C,5\n2008-Q3,D,C,7")
+    config = PipelineConfig(seed=5, null_samples=5, null_mode=MODE_WEIGHT_PERMUTE)
+    result = analyze_period(records, "2008-Q3", config)
+    assert result.lambda_max == 0.0
+    assert result.market_mode == (1.0, 0.0, 0.0, 0.0)
+    assert result.null_stats.lambda_values == (0.0,) * 5
+    assert result.null_stats.std == 0.0
+    assert result.gap == 0.0
+
+
 def test_analyze_tiny_amounts_keep_a_positive_radius():
     records = parse_flow_csv(f"{HEADER}\n2008-Q3,A,B,1e-170\n2008-Q3,B,A,2e-170\n"
                              "2008-Q3,B,C,3e-170\n2008-Q3,C,A,4e-170")

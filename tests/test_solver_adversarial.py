@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowspectra import (
@@ -26,7 +26,7 @@ from flowspectra import (
     null_ensemble,
     spectral,
 )
-from flowspectra.spectral import RESIDUAL_RTOL, _nilpotent_null_vector
+from flowspectra.spectral import RESIDUAL_RTOL
 
 MAX_ROW_SUM_PER_RADIUS = 1000.0
 
@@ -62,19 +62,33 @@ def assert_leading_pair(a, rtol, pair=None):
     assert lam == pytest.approx(rho, rel=rtol)
 
 
+def chain_heads(a):
+    """The entities that start a longest lending chain, or None when the
+    pattern of `a` has a cycle. A path of n links visits n + 1 entities, so
+    one exists only on a cycle."""
+    links = a > 0
+    heads, starts = None, links.any(axis=1)
+    for _ in range(len(a)):
+        if not starts.any():
+            return heads
+        heads, starts = starts, (links & starts).any(axis=1)
+    return None
+
+
 def reference_power_iteration(a):
     """One matrix at a time: the loop the stacked solver replaced, kept as its
-    reference. Same scaling, canonical entity order, shift, and residual test
-    at the end of each block of `spectral._BLOCK_STEPS` steps and at
-    `spectral.MAX_ITERATIONS`, so the stack must give the same bits. Past
-    `spectral.MAX_ITERATIONS` it raises with the residual of the last step."""
+    reference. Same zero-radius rule, scaling, canonical entity order, shift,
+    and residual test at the end of each block of `spectral._BLOCK_STEPS`
+    steps and at `spectral.MAX_ITERATIONS`, so the stack must give the same
+    bits. Past `spectral.MAX_ITERATIONS` it raises with the residual of the
+    last step."""
+    heads = chain_heads(a)
+    if heads is not None:
+        return 0.0, heads / math.sqrt(np.count_nonzero(heads))
     exponent = int(np.frexp(a.max())[1])
     a = np.ldexp(a, -exponent)
     order = np.lexsort((a.max(axis=0), a.max(axis=1)))
     a, inverse = a[np.ix_(order, order)], np.argsort(order)
-    null_vector = _nilpotent_null_vector(a)
-    if null_vector is not None:
-        return 0.0, null_vector[inverse]
     row_sums = a.sum(axis=1)
     shift = 0.5 * row_sums.sum() / np.count_nonzero(row_sums)
     b = a + shift * np.eye(len(a))
@@ -104,6 +118,17 @@ def test_one_large_lender_gives_lambda_within_1e_9(hub):
     a[0, 1:] = hub
     lam, _ = leading_eigenpair(a)
     assert lam == pytest.approx(radius(a), rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e-170, 1e-250, 1e-310])
+def test_a_cycle_whose_weight_product_underflows_is_not_nilpotent(monkeypatch, t):
+    # rho = (t/8)**(1/3) after scaling, far below what power iteration can
+    # resolve next to weights of 0.5, but not 0: the pattern has a cycle.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 64)
+    tiny = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [t, 0.0, 0.0]])
+    with pytest.raises(ConvergenceError) as excinfo:
+        leading_eigenpair(np.array([np.roll(np.eye(3), 1, axis=1), tiny]))
+    assert excinfo.value.index == 1
 
 
 def test_weighted_40_cycle_gives_lambda_within_1e_10():
@@ -247,6 +272,38 @@ def test_nilpotent_gives_exact_zero(a):
     assert lam == 0.0
     assert np.linalg.norm(a @ v) == 0.0
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def sparse_pattern(draw):
+    """A sparse pattern, loops included, with weights 10**U(-150, 150)."""
+    n = draw(st.integers(1, 8))
+    links = draw(arrays(bool, (n, n), elements=st.sampled_from([False, False, False, True])))
+    assume(links.any())
+    return links * 10.0 ** draw(arrays(float, (n, n), elements=st.floats(-150.0, 150.0)))
+
+
+@given(sparse_pattern())
+@example(np.array([[0.0, 1e150, 0.0], [0.0, 0.0, 1e150], [1e-150, 0.0, 0.0]]))
+def test_radius_is_zero_exactly_when_the_pattern_has_no_cycle(a):
+    links = a > 0
+    power = np.eye(len(a), dtype=bool)
+    for _ in range(len(a)):
+        power = (power.astype(int) @ links.astype(int)) > 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "MAX_ITERATIONS", 64)
+        try:
+            lam, v = leading_eigenpair(a)
+        except ConvergenceError:
+            assert power.any()
+            return
+    assert (lam == 0.0) == (not power.any())
+    if lam == 0.0:
+        # Supported on entities nobody lends to, so A v = 0 with no product.
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert (v >= 0).all() and not links[:, v > 0].any()
+    else:
+        assert lam > 0.0
 
 
 @st.composite

@@ -229,24 +229,24 @@ def test_uniform_eigenvector_returns_at_the_first_step(monkeypatch, matrix):
     assert v == pytest.approx(np.full(2, 1 / math.sqrt(2)), rel=1e-15)
 
 
-def test_only_matrices_without_a_two_cycle_take_the_nilpotent_test(monkeypatch):
-    tested, real = [], spectral._nilpotent_null_vector
-
-    def recording(a):
-        tested.append(a.copy())
-        return real(a)
-
-    monkeypatch.setattr(spectral, "_nilpotent_null_vector", recording)
+def test_a_stack_decides_a_zero_radius_from_the_lending_pattern():
     two_cycle = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     loop = np.diag([0.0, 0.0, 3.0])
     chain = np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 4.0], [0.0, 0.0, 0.0]])
     three_cycle = np.roll(np.eye(3), 1, axis=1)
     lams, vectors = leading_eigenpair(np.array([two_cycle, chain, loop, three_cycle]))
-    # The test sees each matrix with its entities in the canonical order.
-    assert [np.flatnonzero(a).tolist() for a in tested] == [[5, 6], [1, 5, 6]]
     assert lams[1] == 0.0
-    assert np.linalg.norm(chain @ vectors[1]) == 0.0
-    assert lams[[0, 2, 3]] == pytest.approx([math.sqrt(2.0), 3.0, 1.0])
+    assert lams == pytest.approx([math.sqrt(2.0), 0.0, 3.0, 1.0], abs=1e-12)
+    # Entity 0 alone starts the longest chain.
+    assert vectors[1].tolist() == [1.0, 0.0, 0.0]
+
+
+def test_a_nilpotent_vector_is_spread_evenly_over_the_chain_heads():
+    # Entities 0 and 1 both lend to 2 and nobody lends to them; the weights
+    # on their links do not enter the vector.
+    lam, v = leading_eigenpair(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 9.0], [0.0, 0.0, 0.0]]))
+    assert lam == 0.0
+    assert v.tolist() == [1 / math.sqrt(2.0), 1 / math.sqrt(2.0), 0.0]
 
 
 def test_a_matrix_is_left_unchanged_and_a_stack_is_overwritten():
