@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze (one period), timeseries (all periods), shuffle (emit
-one surrogate as flow CSV), dendrogram (per-period tree and leaf order), synth
-(generate a synthetic dataset), convert-bis (run the converter).
+one replica of a period's null as flow CSV), dendrogram (per-period tree and
+leaf order), synth (generate a synthetic dataset), convert-bis (run the
+converter).
 
 Exit codes: 0 success, 1 data error, 2 numerical non-convergence,
 3 I/O or configuration error (including bad command lines).
@@ -31,6 +32,7 @@ from .pipeline import (
     PipelineConfig,
     analyze_period,
     export,
+    null_seed,
     period_to_json,
     run_timeseries,
 )
@@ -88,9 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     timeseries.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
 
     shuffle = commands.add_parser("shuffle",
-                                  help="emit one shuffled surrogate as flow CSV")
+                                  help="emit one replica of a period's null as flow CSV")
     _add_common(shuffle, analysis=False)
     shuffle.add_argument("--period", required=True)
+    shuffle.add_argument("--replica", type=int, default=0,
+                         help="which replica of the period's null to write (default 0)")
 
     dendro = commands.add_parser("dendrogram",
                                  help="cluster one period's symmetrized matrix")
@@ -171,10 +175,13 @@ def _cmd_timeseries(args: argparse.Namespace) -> int:
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> int:
+    if args.replica < 0:
+        raise ConfigError("--replica must be a nonnegative integer")
     config = _build_config(args)
     records = parse_flow_file(args.input)
     snapshot = build_snapshot(records, args.period)
-    surrogate = shuffle_snapshot(snapshot, config.seed, config.null_mode)
+    surrogate = shuffle_snapshot(snapshot, null_seed(records, args.period, config.seed),
+                                 config.null_mode, args.replica)
     _emit(snapshot_to_flow_csv(surrogate), args.out, f"shuffle_{args.period}.csv")
     return 0
 

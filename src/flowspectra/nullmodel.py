@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FlowspectraError
-from .ingest import derive_seed
 from .network import NetworkSnapshot
 from .spectral import (
     MODE_DIRECTED,
@@ -43,44 +42,56 @@ class NullEnsembleStats:
     mode: str
 
 
-def _replicas(snapshot: NetworkSnapshot, seeds: list[int], mode: str) -> np.ndarray:
-    """One shuffled copy of the snapshot's weights per seed (see
-    `shuffle_snapshot`), as a C-contiguous (len(seeds), N, N) float64 stack."""
+def _replicas(snapshot: NetworkSnapshot, seed: int, mode: str, count: int,
+              first: int = 0) -> np.ndarray:
+    """Replicas first .. first+count-1 of the stream `default_rng(seed)` (see
+    `shuffle_snapshot`), as a C-contiguous (count, N, N) float64 stack.
+
+    Replica k is the k-th draw from the one generator, so the replicas
+    before `first` are drawn and discarded (negative slots), never stored.
+    """
     if mode not in SHUFFLE_MODES:
         raise DataError(f"unknown shuffle mode {mode!r} (expected one of {SHUFFLE_MODES})")
+    if seed < 0:
+        raise DataError("seed must be a nonnegative integer")
     n = snapshot.n_entities
     positions = np.flatnonzero(snapshot.weights)
     n_edges = positions.size
     if n_edges == 0:
         raise DataError(f"{snapshot.period}: snapshot has no edges to shuffle")
     values = snapshot.weights.flat[positions]
-    stack = np.zeros((len(seeds), n * n))
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((count, n * n))
+    for k in range(-first, count):
         if mode == MODE_LINK_SHUFFLE:
             # Distinct slots in the n(n-1) off-diagonal index space, no rejection
             # loop; slot row*(n-1) + rest is at flat index slot + row + (rest >= row).
             slots = rng.choice(n * (n - 1), size=n_edges, replace=False)
             row, rest = divmod(slots, n - 1)
-            stack[k, slots + row + (rest >= row)] = values
+            flat, placed = slots + row + (rest >= row), values
         else:
-            stack[k, positions] = values[rng.permutation(n_edges)]
-    return stack.reshape(len(seeds), n, n)
+            flat, placed = positions, values[rng.permutation(n_edges)]
+        if k >= 0:
+            stack[k, flat] = placed
+    return stack.reshape(count, n, n)
 
 
 def shuffle_snapshot(snapshot: NetworkSnapshot, seed: int,
-                     mode: str = MODE_LINK_SHUFFLE) -> NetworkSnapshot:
-    """Return a surrogate snapshot with the same weight multiset.
+                     mode: str = MODE_LINK_SHUFFLE, replica: int = 0) -> NetworkSnapshot:
+    """Return replica `replica` of the null ensemble drawn with `seed`: a
+    surrogate snapshot with the same weight multiset.
 
     link-shuffle reassigns the positive weights to distinct ordered
     off-diagonal positions chosen uniformly at random; weight-permute
     permutes the weights among the existing edge positions, preserving the
-    topology. The same seed yields the identical surrogate.
+    topology. `null_ensemble(snapshot, R, seed, mode)` solves exactly these
+    surrogates for replica = 0 .. R-1. Replica k is drawn after replicas
+    0 .. k-1, which are discarded.
     """
-    if seed < 0:
-        raise DataError("seed must be a nonnegative integer")
+    if replica < 0:
+        raise DataError("replica must be a nonnegative integer")
     return NetworkSnapshot(snapshot.period, snapshot.entities,
-                           _replicas(snapshot, [seed], mode)[0])
+                           _replicas(snapshot, seed, mode, 1, replica)[0])
 
 
 def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
@@ -88,17 +99,18 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
                   spectrum_mode: str = MODE_DIRECTED) -> NullEnsembleStats:
     """Null distribution of the leading eigenvalue over shuffled replicas.
 
-    Replica k shuffles with a sub-seed derived from (seed, k), so replicas
-    are independent, order-insensitive, and replayable. All replicas are
-    written into one stack and solved together; the eigensolver overwrites
-    the stack in place. In symmetrized spectrum mode the top eigenvalue of
-    each symmetrized replica is used.
+    The replicas are consecutive draws from one generator seeded with
+    `seed`, so they are independent and replayable, and the first R' of an
+    R-replica ensemble are the R'-replica ensemble; `shuffle_snapshot`
+    replays replica k. All replicas are written into one stack and solved
+    together; the eigensolver overwrites the stack in place. In symmetrized
+    spectrum mode the top eigenvalue of each symmetrized replica is used.
     """
     if spectrum_mode not in SPECTRUM_MODES:
         raise DataError(f"unknown spectrum mode {spectrum_mode!r}")
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
-    stack = _replicas(snapshot, [derive_seed(seed, k) for k in range(n_samples)], mode)
+    stack = _replicas(snapshot, seed, mode, n_samples)
     if spectrum_mode == MODE_SYMMETRIZED:
         lambdas = symmetric_lambda_max((stack + stack.swapaxes(1, 2)) / 2.0)
     else:

@@ -118,6 +118,12 @@ def dataset_fingerprint(records: FlowRecordSet) -> str:
     return digest.hexdigest()
 
 
+def null_seed(records: FlowRecordSet, period: str, seed: int) -> int:
+    """The seed of `period`'s null ensemble under the run's master `seed`:
+    derived from (seed, index of the period), so periods draw independently."""
+    return derive_seed(seed, records.periods.index(period))
+
+
 def analyze_period(records: FlowRecordSet, period: str,
                    config: PipelineConfig | None = None) -> PeriodResult:
     """Full spectral, null-model, and volume analysis of one period."""
@@ -125,7 +131,6 @@ def analyze_period(records: FlowRecordSet, period: str,
     snapshot = build_snapshot(records, period)
     if not snapshot.weights.any():
         raise DataError(f"{period}: network has no edges")
-    null_seed = derive_seed(config.seed, records.periods.index(period))
 
     try:
         sym = symmetrize(snapshot)
@@ -136,7 +141,8 @@ def analyze_period(records: FlowRecordSet, period: str,
             lam, market_mode = float(symmetric_lambda_max(sym)), eigenvectors[0]
         else:
             lam, market_mode = leading_eigenpair(snapshot.weights)
-        stats = null_ensemble(snapshot, config.null_samples, null_seed, config.null_mode,
+        stats = null_ensemble(snapshot, config.null_samples,
+                              null_seed(records, period, config.seed), config.null_mode,
                               spectrum_mode=config.spectrum_mode)
         shares = volume_share(snapshot, config.volume_mode)
     except FlowspectraError as exc:

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from flowspectra import ConvergenceError, parse_flow_file
+from flowspectra import ConvergenceError, leading_eigenpair, parse_flow_file
 from flowspectra.cli import main
-from flowspectra.spectral import SPECTRUM_MODES
+from flowspectra.spectral import MODE_SYMMETRIZED, SPECTRUM_MODES, symmetric_lambda_max
 
 HEADER = "period,reporter,counterparty,amount"
 TWO_NODE = f"{HEADER}\n2008-Q3,A,B,3\n2008-Q3,B,A,5\n"
@@ -155,6 +156,36 @@ def test_analyze_one_period_writes_its_timeseries_entry(tmp_path, spectrum_mode)
         period = entry["period"]
         assert main(["analyze", *run, "--period", period, "--out", str(tmp_path / "one")]) == 0
         assert json.loads((tmp_path / "one" / f"period_{period}.json").read_text()) == entry
+
+
+@pytest.mark.parametrize("spectrum_mode", SPECTRUM_MODES)
+def test_shuffle_replica_is_the_replica_the_null_solved(tmp_path, spectrum_mode):
+    assert main(["synth", "--periods", "3", "--n-core", "3", "--n-periphery", "6",
+                 "--link-prob", "0.3", "--seed", "9", "--out", str(tmp_path)]) == 0
+    run = ["--input", str(tmp_path / "flows.csv"), "--seed", "5"]
+    assert main(["timeseries", *run, "--null-samples", "10", "--spectrum-mode", spectrum_mode,
+                 "--include-lambda-values", "--out", str(tmp_path / "all")]) == 0
+    entry = json.loads((tmp_path / "all" / "timeseries.json").read_text())["periods"][1]
+    index = {name: i for i, name in enumerate(entry["entities"])}
+    for replica in (0, 7):
+        assert main(["shuffle", *run, "--period", entry["period"],
+                     "--replica", str(replica), "--out", str(tmp_path / "shuffle")]) == 0
+        surrogate = parse_flow_file(tmp_path / "shuffle" / f"shuffle_{entry['period']}.csv")
+        # On the full roster: entities the shuffle left without links are not in the CSV.
+        weights = np.zeros((len(index),) * 2)
+        names = [index[name] for name in surrogate.entities]
+        weights[[names[i] for i in surrogate.reporter_index],
+                [names[j] for j in surrogate.counterparty_index]] = surrogate.amounts
+        if spectrum_mode == MODE_SYMMETRIZED:
+            alone = float(symmetric_lambda_max((weights + weights.T) / 2.0))
+        else:
+            alone, _ = leading_eigenpair(weights)
+        assert alone == entry["null"]["lambda_values"][replica]
+
+
+def test_shuffle_rejects_a_negative_replica(flows_csv):
+    assert main(["shuffle", "--input", str(flows_csv), "--period", "2008-Q3",
+                 "--replica", "-1"]) == 3
 
 
 def test_dendrogram_json_and_newick(flows_csv, capsys):

@@ -10,7 +10,6 @@ from flowspectra import (
     MODE_WEIGHT_PERMUTE,
     NetworkSnapshot,
     build_snapshot,
-    derive_seed,
     generate_synthetic,
     leading_eigenpair,
     null_ensemble,
@@ -120,6 +119,25 @@ def test_replica_stream_is_pinned(matrix, mode, seed, expected):
     assert np.array_equal(shuffled.weights, np.asarray(expected, dtype=float))
 
 
+# Later replicas of the streams pinned above (their replica 0 is a row of
+# PINNED_REPLICAS): a change to the order in which one generator's draws
+# become replicas must show up here.
+PINNED_LATER_REPLICAS = [
+    (SPARSE, MODE_LINK_SHUFFLE, 2, 1, [[0, 0, 0, 5], [0, 0, 4, 0], [0, 3, 0, 0], [1, 2, 0, 0]]),
+    (SPARSE, MODE_LINK_SHUFFLE, 2, 3, [[0, 0, 0, 4], [0, 0, 3, 1], [0, 5, 0, 2], [0, 0, 0, 0]]),
+    (DENSE, MODE_WEIGHT_PERMUTE, 2, 1, [[0, 8, 15, 18, 9], [5, 0, 23, 10, 24], [12, 16, 0, 6, 14],
+                                        [20, 2, 21, 0, 22], [11, 17, 3, 4, 0]]),
+    (DENSE, MODE_WEIGHT_PERMUTE, 2, 3, [[0, 10, 4, 6, 14], [23, 0, 8, 20, 21], [24, 11, 0, 12, 18],
+                                        [22, 17, 5, 0, 15], [16, 2, 3, 9, 0]]),
+]
+
+
+@pytest.mark.parametrize("matrix, mode, seed, replica, expected", PINNED_LATER_REPLICAS)
+def test_later_replicas_of_a_stream_are_pinned(matrix, mode, seed, replica, expected):
+    shuffled = shuffle_snapshot(snapshot_of(matrix), seed, mode, replica)
+    assert np.array_equal(shuffled.weights, np.asarray(expected, dtype=float))
+
+
 def test_ensemble_shuffles_without_building_snapshots(monkeypatch):
     # The replicas go straight into the solver's stack: one edge lookup per
     # ensemble and no per-replica snapshot (or its validation).
@@ -146,6 +164,8 @@ def test_shuffle_rejects_bad_inputs():
         shuffle_snapshot(empty, seed=1)
     with pytest.raises(DataError, match="seed"):
         shuffle_snapshot(snapshot, seed=-5)
+    with pytest.raises(DataError, match="replica"):
+        shuffle_snapshot(snapshot, seed=1, replica=-1)
 
 
 def test_ensemble_of_one_sample_has_zero_std():
@@ -193,6 +213,11 @@ def test_ensemble_rejects_bad_sample_count():
                       spectrum_mode="bogus")
 
 
+def test_ensemble_rejects_a_negative_seed():
+    with pytest.raises(DataError, match="seed"):
+        null_ensemble(snapshot_of([[0.0, 1.0], [1.0, 0.0]]), 5, seed=-1)
+
+
 def test_core_periphery_structure_beats_null():
     records = generate_synthetic(5, 15, 100.0, 1.0, 0.2, seed=12)
     snapshot = build_snapshot(records, records.periods[0])
@@ -209,14 +234,15 @@ def test_core_periphery_structure_beats_null():
     for mode in (MODE_LINK_SHUFFLE, MODE_WEIGHT_PERMUTE)
 ])
 def test_each_stacked_replica_equals_its_own_solve(spectrum_mode, mode):
-    # A replica's lambda must not depend on the other matrices of its stack.
+    # A replica's lambda must not depend on the other matrices of its stack,
+    # and replica k of a seed's stream is the same however many follow it.
     records = generate_synthetic(6, 25, 100.0, 1.0, 0.1, seed=3)
     snapshot = build_snapshot(records, records.periods[0])
     small = null_ensemble(snapshot, 13, seed=41, mode=mode, spectrum_mode=spectrum_mode)
     large = null_ensemble(snapshot, 100, seed=41, mode=mode, spectrum_mode=spectrum_mode)
     assert small.lambda_values == large.lambda_values[:13]
     for k, lam in enumerate(small.lambda_values):
-        replica = shuffle_snapshot(snapshot, derive_seed(41, k), mode)
+        replica = shuffle_snapshot(snapshot, 41, mode, replica=k)
         if spectrum_mode == MODE_SYMMETRIZED:
             alone = float(np.linalg.eigvalsh(symmetrize(replica))[-1])
         else:
