@@ -12,6 +12,7 @@ import io
 import json
 import math
 import re
+from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,12 +57,6 @@ class FlowRecordSet:
         """Validate (period, reporter, counterparty, amount) rows; row 1 is the first."""
         return _validate(enumerate(rows, start=1))
 
-    def _fields(self) -> Iterator[tuple[str, str, str, float]]:
-        periods, entities = self.periods, self.entities
-        for p, r, c, amount in zip(self.period_index.tolist(), self.reporter_index.tolist(),
-                                   self.counterparty_index.tolist(), self.amounts.tolist()):
-            yield periods[p], entities[r], entities[c], amount
-
     def __len__(self) -> int:
         return len(self.amounts)
 
@@ -94,8 +89,8 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
     pattern once."""
     period_ids: dict[str, int] = {}
     entity_ids: dict[str, int] = {}
-    keys: list[tuple[int, int, int]] = []
-    amounts: list[float] = []
+    keys = array("q")  # (p, r, c) per row
+    amounts = array("d")
     for row_no, row in numbered_rows:
         try:
             if len(row) != 4:
@@ -118,7 +113,7 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
                 raise DataError(f"row {row_no}: reporter equals counterparty ({reporter!r})")
             if not math.isfinite(amount) or amount < 0:
                 raise DataError(f"row {row_no}: negative or non-numeric amount {amount!r}")
-            keys.append((p, r, c))
+            keys.extend((p, r, c))
             amounts.append(amount)
         except (TypeError, AttributeError) as exc:
             # A field of the wrong type (None, a number for a code) fails in
@@ -129,22 +124,14 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
     # Each list maps a sorted position to a first-seen index; argsort inverts it.
     period_position = np.argsort([period_ids[code] for code in periods])
     entity_position = np.argsort([entity_ids[code] for code in entities])
-    index = np.array(keys, dtype=np.intp).reshape(-1, 3)
+    index = np.frombuffer(keys, dtype=np.int64).reshape(-1, 3)
     return FlowRecordSet(periods, entities, period_position[index[:, 0]],
                          entity_position[index[:, 1]], entity_position[index[:, 2]],
-                         np.array(amounts, dtype=float))
+                         np.frombuffer(amounts, dtype=float))
 
 
-def parse_flow_csv(source: str) -> FlowRecordSet:
-    """Parse flow CSV text into a FlowRecordSet.
-
-    Expects the header ``period,reporter,counterparty,amount``; entity codes
-    are trimmed and uppercased, row order is preserved. Errors carry the
-    1-based row number (the header is row 1); blank lines count as rows. A
-    field over the csv size limit is reported at its line number, which is
-    the row number unless a quoted field spans lines.
-    """
-    reader = csv.reader(io.StringIO(source))
+def _parse_flow_rows(reader: Iterator[list[str]]) -> FlowRecordSet:
+    """Check the header row of a csv reader, then validate the rows after it."""
     try:
         header = next(reader, None)
         if header is None:
@@ -160,6 +147,18 @@ def parse_flow_csv(source: str) -> FlowRecordSet:
         raise DataError(f"row {reader.line_num}: {exc}") from None
 
 
+def parse_flow_csv(source: str) -> FlowRecordSet:
+    """Parse flow CSV text into a FlowRecordSet.
+
+    Expects the header ``period,reporter,counterparty,amount``; entity codes
+    are trimmed and uppercased, row order is preserved. Lines end at LF, CRLF
+    or a lone CR. Errors carry the 1-based row number (the header is row 1);
+    blank lines count as rows. A field over the csv size limit is reported at
+    its line number, which is the row number unless a quoted field spans lines.
+    """
+    return _parse_flow_rows(csv.reader(io.StringIO(source, newline="")))
+
+
 def read_utf8(path: str | Path, error: type[FlowspectraError]) -> str:
     """The text of a UTF-8 file; other bytes raise `error` naming the file."""
     try:
@@ -169,26 +168,43 @@ def read_utf8(path: str | Path, error: type[FlowspectraError]) -> str:
 
 
 def parse_flow_file(path: str | Path) -> FlowRecordSet:
-    return parse_flow_csv(read_utf8(path, DataError))
+    """Parse a UTF-8 flow CSV file as `parse_flow_csv` parses its text,
+    reading it row by row. Rows are checked as they are read, so a bad row
+    before the first non-UTF-8 byte is reported as that row's error."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            return _parse_flow_rows(reader)
+        except UnicodeDecodeError:
+            # The error's own offset counts from the decoder's chunk, not the file.
+            raise DataError(f"{path}: not UTF-8 text after line {reader.line_num}") from None
 
 
-def flow_csv_lines(records: FlowRecordSet) -> Iterator[str]:
-    """The flow CSV lines of a FlowRecordSet without line ends, header first.
+def flow_csv_chunks(records: FlowRecordSet) -> Iterator[str]:
+    """The flow CSV text of a FlowRecordSet, header first, in pieces of at
+    most 4,096 lines that each end in a newline; the whole text is never built.
 
     Amounts use repr, the shortest digit string that round-trips the float.
     """
-    yield ",".join(FLOW_CSV_HEADER)
-    for period, reporter, counterparty, amount in records._fields():
-        yield f"{period},{reporter},{counterparty},{amount!r}"
+    periods, entities = records.periods, records.entities
+    yield ",".join(FLOW_CSV_HEADER) + "\n"
+    for start in range(0, len(records), 4096):
+        window = slice(start, start + 4096)
+        yield "".join(f"{periods[p]},{entities[r]},{entities[c]},{amount!r}\n"
+                      for p, r, c, amount in zip(records.period_index[window].tolist(),
+                                                 records.reporter_index[window].tolist(),
+                                                 records.counterparty_index[window].tolist(),
+                                                 records.amounts[window].tolist()))
 
 
 def serialize_flow_csv(records: FlowRecordSet) -> str:
     """Render a FlowRecordSet as flow CSV; reparsing a parsed set yields an equal set."""
-    return "\n".join(flow_csv_lines(records)) + "\n"
+    return "".join(flow_csv_chunks(records))
 
 
 def write_flow_file(records: FlowRecordSet, path: str | Path) -> None:
-    Path(path).write_text(serialize_flow_csv(records), encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(flow_csv_chunks(records))
 
 
 # ---------------------------------------------------------------------------

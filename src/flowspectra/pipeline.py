@@ -10,13 +10,12 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FlowspectraError
-from .ingest import FlowRecordSet, derive_seed, flow_csv_lines
+from .ingest import FlowRecordSet, derive_seed, flow_csv_chunks
 from .network import (
     VOLUME_MODES,
     build_snapshot,
@@ -110,11 +109,10 @@ class TimeSeriesResult:
 
 def dataset_fingerprint(records: FlowRecordSet) -> str:
     """Content hash (sha256) of the canonical CSV serialization, fed to the
-    hash 4,096 lines at a time so the whole text is never built."""
+    hash a chunk at a time so the whole text is never built."""
     digest = hashlib.sha256()
-    lines = flow_csv_lines(records)
-    while chunk := list(islice(lines, 4096)):
-        digest.update(("\n".join(chunk) + "\n").encode("utf-8"))
+    for chunk in flow_csv_chunks(records):
+        digest.update(chunk.encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -304,6 +304,15 @@ def test_flow_csv_that_is_not_utf8_is_a_data_error(tmp_path):
     assert main(["analyze", "--input", str(source), "--period", "2008-Q3"]) == 1
 
 
+def test_flow_csv_not_utf8_past_the_first_chunk_names_a_line(tmp_path, caplog):
+    source = tmp_path / "flows.csv"
+    good = "".join(f"2008-Q3,A{k:05d},B{k:05d},1.5\n" for k in range(1000))
+    source.write_bytes(f"{HEADER}\n{good}".encode() + b"2008-Q3,B\xff,A,5\n")
+    assert main(["analyze", "--input", str(source), "--period", "2008-Q3"]) == 1
+    assert f"{source}: not UTF-8 text after line " in caplog.text
+    assert "position" not in caplog.text
+
+
 def test_flow_csv_field_over_the_size_limit_names_its_row(tmp_path, caplog):
     source = tmp_path / "flows.csv"
     source.write_text(f"{HEADER}\n2008-Q3,A,B,{OVERSIZED}\n")

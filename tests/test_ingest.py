@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from flowspectra import (
     generate_synthetic_series,
     load_bis_mapping,
     parse_flow_csv,
+    parse_flow_file,
     serialize_flow_csv,
 )
-from flowspectra.ingest import period_sequence, shift_quarter
+from flowspectra.ingest import period_sequence, shift_quarter, write_flow_file
 
 HEADER = "period,reporter,counterparty,amount"
 
@@ -442,6 +445,117 @@ def test_hostile_row_at_any_position_names_its_row(rows, hostile, data):
     with pytest.raises(DataError) as info:
         parse_flow_csv("\n".join([HEADER, *lines]) + "\n")
     assert str(info.value).startswith(f"row {row_no}: ")
+
+
+# --- reading and writing flow files -----------------------------------------
+
+BOTH_ENTRY_POINTS = [
+    pytest.param(f"{HEADER}\n2008-Q3,US,GB,1\n2008-Q3,GB,US,2\n".encode(), id="lf"),
+    pytest.param(f"{HEADER}\r\n2008-Q3,US,GB,1\r\n2008-Q3,GB,US,2\r\n".encode(), id="crlf"),
+    pytest.param(f"{HEADER}\r2008-Q3,US,GB,1\r2008-Q3,GB,US,2\r".encode(), id="lone-cr"),
+    pytest.param(f"\ufeff{HEADER}\n2008-Q3,US,GB,1\n".encode(), id="bom-header"),
+    pytest.param(f"{HEADER}\n\n2008-Q3,US,GB,1\n\n\n2008-Q9,GB,US,2\n".encode(),
+                 id="blank-lines"),
+    pytest.param(f'{HEADER}\n2008-Q3,US,GB,"1\n"\n2008-Q3,"G\nB",US,2\n'.encode(),
+                 id="quoted-field-spans-lines"),
+    pytest.param(f'{HEADER}\r\n2008-Q3,"U\r\nS",GB,1\r\n'.encode(), id="quoted-crlf"),
+    pytest.param(f"{HEADER}\n2008-Q3,US,GB,1\n2008-Q3,G\0B,US,2\n".encode(), id="nul-byte"),
+    pytest.param(f"{HEADER}\n2008-Q3,US,GB,1\n2008-Q3,GB,US,{'9' * 200_000}\n".encode(),
+                 id="oversized-field"),
+    pytest.param(f'{HEADER}\n2008-Q3,US,GB,1\n2008-Q3,"GB,US,2\n'.encode(),
+                 id="unterminated-quote"),
+]
+
+
+def parse_or_error(parse, source):
+    try:
+        return parse(source)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("data", BOTH_ENTRY_POINTS)
+def test_file_and_text_entry_points_agree(tmp_path, data):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(data)
+    from_file = parse_or_error(parse_flow_file, path)
+    assert from_file == parse_or_error(parse_flow_csv, data.decode("utf-8"))
+
+
+def test_crlf_inside_a_quoted_code_is_shown_as_crlf(tmp_path):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(f'{HEADER}\r\n2008-Q3,"U\r\nS",GB,1\r\n'.encode())
+    with pytest.raises(DataError) as info:
+        parse_flow_file(path)
+    assert str(info.value) == "row 2: malformed reporter entity code 'U\\r\\nS'"
+
+
+def padded_flow_bytes(bad_byte_row: int) -> bytes:
+    """A flow file of 1,000 valid rows (about 20 KiB) with a non-UTF-8 byte in
+    the code of row `bad_byte_row` (the header is row 1)."""
+    lines = [HEADER.encode()] + [f"2008-Q3,A{k:05d},B{k:05d},1.5".encode()
+                                 for k in range(2, 1002)]
+    lines[bad_byte_row - 1] = b"2008-Q3,B\xff,A,5"
+    return b"\n".join(lines) + b"\n"
+
+
+def test_non_utf8_byte_past_the_first_chunk_names_the_file_and_a_line(tmp_path):
+    path = tmp_path / "flows.csv"
+    data = padded_flow_bytes(900)
+    assert data.index(b"\xff") > 8192
+    path.write_bytes(data)
+    with pytest.raises(DataError) as info:
+        parse_flow_file(path)
+    match = re.fullmatch(rf"{re.escape(str(path))}: not UTF-8 text after line (\d+)",
+                         str(info.value))
+    # The line named was read whole, in a decoded chunk before the bad byte's.
+    assert match and 400 < int(match.group(1)) < 900
+
+
+def test_bad_row_before_the_first_non_utf8_byte_is_reported_as_that_row(tmp_path):
+    data = padded_flow_bytes(900).replace(b"A00003,B00003", b"A00003,A00003", 1)
+    path = tmp_path / "flows.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as info:
+        parse_flow_file(path)
+    assert str(info.value) == "row 3: reporter equals counterparty ('A00003')"
+
+
+def test_file_parse_memory_stays_near_the_columns_it_keeps(tmp_path):
+    """The parse holds no copy of the file: its peak stays within 3 times the
+    four columns it returns (about 10.7 times when the whole text was read
+    into a string and its rows collected as tuples)."""
+    rng = np.random.default_rng(5)
+    codes = [f"E{k:03d}" for k in range(200)]
+    lines = [HEADER]
+    for k in range(20_000):
+        a, b = rng.choice(len(codes), size=2, replace=False)
+        lines.append(f"{2000 + k % 10}-Q{1 + k % 4},{codes[a]},{codes[b]},"
+                     f"{float(rng.random()) * 1e4!r}")
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        records = parse_flow_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(column.nbytes for column in (records.period_index, records.reporter_index,
+                                            records.counterparty_index, records.amounts))
+    assert len(records) == 20_000
+    assert peak <= 3 * kept
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 9000])
+def test_written_flow_file_is_the_serialized_text(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    rows = [(f"{2000 + k % 3}-Q{1 + k % 4}", f"E{k % 7}", f"F{k % 5}",
+             float(rng.random()) * 10.0 ** int(rng.integers(-5, 9))) for k in range(n_rows)]
+    records = FlowRecordSet.from_rows(rows)
+    expected = "\n".join([HEADER, *(f"{p},{r},{c},{x!r}" for p, r, c, x in as_tuples(records))])
+    write_flow_file(records, tmp_path / "flows.csv")
+    assert (tmp_path / "flows.csv").read_bytes() == (expected + "\n").encode("utf-8")
+    assert serialize_flow_csv(records) == expected + "\n"
 
 
 def test_build_snapshot_sums_duplicates_bitwise_in_row_order():
