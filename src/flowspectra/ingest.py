@@ -86,33 +86,44 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
     self-loop, then sign and finiteness of the amount; the first failure
     raises with its row number, as does a field of the wrong type. Codes are
     trimmed and uppercased, and each distinct code is matched against its
-    pattern once."""
+    pattern once. A field spelled as in an earlier valid row maps straight
+    to that row's index; any other row takes the checks in full."""
     period_ids: dict[str, int] = {}
     entity_ids: dict[str, int] = {}
+    period_at: dict[str, int] = {}  # raw spelling -> index
+    entity_at: dict[str, int] = {}
     keys = array("q")  # (p, r, c) per row
     amounts = array("d")
     for row_no, row in numbered_rows:
         try:
             if len(row) != 4:
                 raise DataError(f"row {row_no}: expected 4 fields, got {len(row)}")
-            period = row[0].strip()
-            reporter = row[1].strip().upper()
-            counterparty = row[2].strip().upper()
             try:
+                p, r, c = period_at[row[0]], entity_at[row[1]], entity_at[row[2]]
                 amount = float(row[3])
-            except ValueError:
-                raise DataError(f"row {row_no}: negative or non-numeric amount "
-                                f"{row[3].strip()!r}") from None
-            p = _intern(period_ids, period, PERIOD_PATTERN, row_no,
-                        "malformed period label {!r} (expected YYYY-Qn)")
-            r = _intern(entity_ids, reporter, ENTITY_PATTERN, row_no,
-                        "malformed reporter entity code {!r}")
-            c = _intern(entity_ids, counterparty, ENTITY_PATTERN, row_no,
-                        "malformed counterparty entity code {!r}")
-            if r == c:
-                raise DataError(f"row {row_no}: reporter equals counterparty ({reporter!r})")
-            if not math.isfinite(amount) or amount < 0:
-                raise DataError(f"row {row_no}: negative or non-numeric amount {amount!r}")
+                seen = r != c and 0 <= amount < math.inf
+            except (KeyError, TypeError, ValueError):  # a new spelling, or a failure
+                seen = False
+            if not seen:
+                period = row[0].strip()
+                reporter = row[1].strip().upper()
+                counterparty = row[2].strip().upper()
+                try:
+                    amount = float(row[3])
+                except ValueError:
+                    raise DataError(f"row {row_no}: negative or non-numeric amount "
+                                    f"{row[3].strip()!r}") from None
+                p = _intern(period_ids, period, PERIOD_PATTERN, row_no,
+                            "malformed period label {!r} (expected YYYY-Qn)")
+                r = _intern(entity_ids, reporter, ENTITY_PATTERN, row_no,
+                            "malformed reporter entity code {!r}")
+                c = _intern(entity_ids, counterparty, ENTITY_PATTERN, row_no,
+                            "malformed counterparty entity code {!r}")
+                if r == c:
+                    raise DataError(f"row {row_no}: reporter equals counterparty ({reporter!r})")
+                if not math.isfinite(amount) or amount < 0:
+                    raise DataError(f"row {row_no}: negative or non-numeric amount {amount!r}")
+                period_at[row[0]], entity_at[row[1]], entity_at[row[2]] = p, r, c
             keys.extend((p, r, c))
             amounts.append(amount)
         except (TypeError, AttributeError) as exc:
@@ -167,17 +178,32 @@ def read_utf8(path: str | Path, error: type[FlowspectraError]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc})") from None
 
 
+def _not_utf8(path: str | Path) -> DataError:
+    """The error for a file that failed to decode as UTF-8, naming its first
+    line (ended by LF, CRLF or a lone CR, as csv counts them) that is not
+    UTF-8 text. A decode error's own offset counts from the decoder's chunk,
+    not the file; no UTF-8 sequence holds a CR or LF byte, so lines can be
+    decoded one at a time."""
+    with open(path, "rb") as handle:
+        lines = (line for chunk in handle for line in chunk.splitlines())
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return DataError(f"{path}: line {line_no} is not UTF-8 text")
+    return DataError(f"{path}: not UTF-8 text")
+
+
 def parse_flow_file(path: str | Path) -> FlowRecordSet:
     """Parse a UTF-8 flow CSV file as `parse_flow_csv` parses its text,
-    reading it row by row. Rows are checked as they are read, so a bad row
-    before the first non-UTF-8 byte is reported as that row's error."""
+    reading it row by row. Rows are checked as they are read, 8 KiB of text
+    at a time, so a bad row in a piece before the one that holds the first
+    non-UTF-8 byte is reported as that row's error."""
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
         try:
-            return _parse_flow_rows(reader)
+            return _parse_flow_rows(csv.reader(handle))
         except UnicodeDecodeError:
-            # The error's own offset counts from the decoder's chunk, not the file.
-            raise DataError(f"{path}: not UTF-8 text after line {reader.line_num}") from None
+            raise _not_utf8(path) from None
 
 
 def flow_csv_chunks(records: FlowRecordSet) -> Iterator[str]:
@@ -365,7 +391,9 @@ def convert_bis_file(csv_path: str | Path, mapping: BisMapping) -> BisConversion
     with open(csv_path, encoding="utf-8", newline="") as handle:
         try:
             return convert_bis_lbs(csv.DictReader(handle), mapping)
-        except (UnicodeDecodeError, csv.Error) as exc:
+        except UnicodeDecodeError:
+            raise _not_utf8(csv_path) from None
+        except csv.Error as exc:
             raise DataError(f"{csv_path}: unreadable extract ({exc})") from None
 
 

@@ -97,12 +97,13 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     vector is the uniform 1/sqrt(n). A stack runs one iteration over all its
     matrices; each keeps its own order, scale, shift and residual test, so a
     matrix gets the same bits alone as in any stack. The steps run in blocks
-    of 16 that only multiply and normalize, and only the last pair of a block
-    is tested: each matrix returns the first block-end pair that passes and
-    leaves the iteration there. Whether the radius is 0 is decided exactly on
-    the 0/1 pattern: it is 0 when the lending pattern has no cycle. Such a
-    matrix is not iterated, and its vector is spread evenly over the entities
-    that start a longest chain, so A v = 0 exactly.
+    of 16 that only multiply; the vector is normalized once per block, for
+    the block's last pair, and only that pair is tested: each matrix returns
+    the first block-end pair that passes and leaves the iteration there.
+    Whether the radius is 0 is decided exactly on the 0/1 pattern: it is 0
+    when the lending pattern has no cycle. Such a matrix is not iterated, and
+    its vector is spread evenly over the entities that start a longest
+    chain, so A v = 0 exactly.
 
     Returns (spectral radius, nonnegative unit eigenvector) for a matrix,
     and an (R,) array of radii with an (R, N) array of vectors for a stack.
@@ -152,8 +153,8 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     # relabelling cannot move a key. Mode "clip" does not buffer `out`.
     order, rows = np.lexsort((a.max(axis=1), a.max(axis=2))), np.empty((n, n))
     for k in range(count):
-        np.take(a[k], order[k], axis=0, out=rows, mode="clip")
-        np.take(rows, order[k], axis=1, out=a[k], mode="clip")
+        a[k].take(order[k], axis=0, out=rows, mode="clip")
+        rows.take(order[k], axis=1, out=a[k], mode="clip")
 
     # Every entity starts a lending path of 0 links, and one of k + 1 links
     # when it lends to one that starts a path of k. The sets only shrink with
@@ -183,45 +184,51 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     # of the work array, and `active` holds their positions in the stack.
     active = np.flatnonzero(iterate)
     b, shift, exponents = _compact(a, active), shift[active], exponents[active]
-    v = np.full((len(active), n), 1.0 / math.sqrt(n))
+    x = np.full((len(active), n), 1.0 / math.sqrt(n))
     iterations = 0
     while len(active):
-        # A block of steps that only multiply and normalize; the last block
-        # ends at exactly MAX_ITERATIONS.
+        # A block: steps - 1 bare products, then one normalized pair
+        # (u, w = B u); the last block ends at exactly MAX_ITERATIONS. Bare
+        # products stay in the float range: for x >= 0,
+        # shift ||x|| <= ||B x|| <= 1.5n ||x||, as the scaled entries are
+        # below 1 and the shift, half a mean nonzero row sum, is at least
+        # 0.25/n (some entry is at least 0.5). A block starts from a unit
+        # vector or from w, so ||x||**2 lies in [(0.25/n)**32, (1.5n)**32],
+        # inside the float range for any n below 10**8.
         steps = min(_BLOCK_STEPS, MAX_ITERATIONS - iterations)
-        for _ in range(steps):
-            u = v
-            w = np.matmul(b, u[:, :, None])[:, :, 0]
-            # ||B u|| >= shift > 0 for unit u >= 0
-            v = w / np.sqrt(_dots(w, w))[:, None]
+        for _ in range(steps - 1):
+            x = np.matmul(b, x[:, :, None])[:, :, 0]
+        u = x / np.sqrt(_dots(x, x))[:, None]
+        w = np.matmul(b, u[:, :, None])[:, :, 0]
         iterations += steps
 
-        # One test per block, on its last pair (u, w = B u). For the shifted
-        # matrix, A u - lam u == B u - mu u, so the residual costs no matvec.
+        # One test per block, on its pair. For the shifted matrix,
+        # A u - lam u == B u - mu u, so the residual costs no matvec.
         mu = _dots(u, w)
         lam = mu - shift
         r = w - mu[:, None] * u
         res = np.sqrt(_dots(r, r))
         finished = res <= RESIDUAL_RTOL * lam
-        done = active[finished]
-        with np.errstate(over="ignore"):
-            lambdas[done] = np.ldexp(lam[finished], exponents[finished])
-        for k in done[np.isinf(lambdas[done])]:
-            raise DataError("spectral radius exceeds the float range", index=int(k))
-        vectors[done] = u[finished]
-        keep = np.flatnonzero(~finished)
-        if iterations == MAX_ITERATIONS and len(keep):
-            k = keep[0]
+        x = w
+        if finished.any():  # in most blocks no matrix passes
+            done = active[finished]
+            with np.errstate(over="ignore"):
+                lambdas[done] = np.ldexp(lam[finished], exponents[finished])
+            for k in done[np.isinf(lambdas[done])]:
+                raise DataError("spectral radius exceeds the float range", index=int(k))
+            vectors[done] = u[finished]
+            keep = np.flatnonzero(~finished)
+            b = _compact(b, keep)
+            active, shift, exponents = active[keep], shift[keep], exponents[keep]
+            x, res, lam = w[keep], res[keep], lam[keep]
+        if iterations == MAX_ITERATIONS and len(active):
             with np.errstate(over="ignore"):  # scaled back, it may pass the float max
-                res, lam = np.ldexp([res[k], lam[k]], exponents[k]).tolist()
+                res, lam = np.ldexp([res[0], lam[0]], exponents[0]).tolist()
             raise ConvergenceError(
                 f"power iteration did not converge within {MAX_ITERATIONS} iterations "
                 f"(residual {res:.3e}, lambda {lam:.6e})",
-                residual=res, iterations=MAX_ITERATIONS, index=int(active[k]),
+                residual=res, iterations=MAX_ITERATIONS, index=int(active[0]),
             )
-        b = _compact(b, keep)
-        active, shift, exponents = active[keep], shift[keep], exponents[keep]
-        v = v[keep]
     return lambdas, np.take_along_axis(vectors, np.argsort(order, axis=1), axis=1)
 
 

@@ -309,7 +309,7 @@ def test_flow_csv_not_utf8_past_the_first_chunk_names_a_line(tmp_path, caplog):
     good = "".join(f"2008-Q3,A{k:05d},B{k:05d},1.5\n" for k in range(1000))
     source.write_bytes(f"{HEADER}\n{good}".encode() + b"2008-Q3,B\xff,A,5\n")
     assert main(["analyze", "--input", str(source), "--period", "2008-Q3"]) == 1
-    assert f"{source}: not UTF-8 text after line " in caplog.text
+    assert f"{source}: line 1002 is not UTF-8 text" in caplog.text
     assert "position" not in caplog.text
 
 
@@ -327,8 +327,9 @@ def _convert(tmp_path, raw: bytes, mapping: bytes = json.dumps(MAPPING).encode()
                  "--mapping", str(tmp_path / "mapping.json")])
 
 
-def test_extract_that_is_not_utf8_is_a_data_error(tmp_path):
+def test_extract_that_is_not_utf8_is_a_data_error(tmp_path, caplog):
     assert _convert(tmp_path, b"P,R,C,V\n2008-Q3,US,G\xffB,5\n") == 1
+    assert f"{tmp_path / 'raw.csv'}: line 2 is not UTF-8 text" in caplog.text
 
 
 def test_extract_field_over_the_size_limit_is_a_data_error(tmp_path):

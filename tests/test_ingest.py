@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,8 @@ from flowspectra import (
     parse_flow_file,
     serialize_flow_csv,
 )
-from flowspectra.ingest import period_sequence, shift_quarter, write_flow_file
+from flowspectra.ingest import (convert_bis_file, period_sequence, shift_quarter,
+                                write_flow_file)
 
 HEADER = "period,reporter,counterparty,amount"
 
@@ -86,6 +86,32 @@ def test_parse_accepts_crlf_and_preserves_row_order():
     text = f"{HEADER}\r\n2008-Q3,US,GB,1\r\n2008-Q3,GB,US,2\r\n"
     records = parse_flow_csv(text)
     assert records.amounts.tolist() == [1.0, 2.0]
+
+
+SPELLED_TWICE = [("2008-Q3", " us", "GB", 1.0), ("2008-Q3", "US ", "gb", 2.0)]
+
+
+def test_two_spellings_of_one_code_share_one_index():
+    records = FlowRecordSet.from_rows(SPELLED_TWICE + [(" 2008-Q3", "GB", " us", 3.0)])
+    assert records.periods == ("2008-Q3",) and records.entities == ("GB", "US")
+    assert records.reporter_index.tolist() == [1, 1, 0]
+    assert records.counterparty_index.tolist() == [0, 0, 1]
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    (("2008-Q3", "GB", "u$", 1.0), "malformed counterparty entity code 'U$'"),
+    (("2008-Q3", " us", "US ", 1.0), "reporter equals counterparty ('US')"),
+    (("2008-Q3", " us", "GB", -1.0), "negative or non-numeric amount -1.0"),
+    (("2008-Q3", " us", "GB", " x "), "negative or non-numeric amount 'x'"),
+    (("2008-Q3", " us", "GB", None), "field of the wrong type (float() argument must be "
+                                     "a string or a real number, not 'NoneType')"),
+    (("2008-Q3", " us", ["GB"], 1.0), "field of the wrong type ('list' object has no "
+                                      "attribute 'strip')"),
+], ids=["bad-code", "self-loop", "negative", "non-numeric", "none-amount", "list-code"])
+def test_row_after_known_spellings_fails_at_its_first_row(bad_row, message):
+    with pytest.raises(DataError) as info:
+        FlowRecordSet.from_rows(SPELLED_TWICE + [bad_row, bad_row])
+    assert str(info.value) == f"row 3: {message}"
 
 
 def test_from_rows_validates_with_row_numbers():
@@ -490,13 +516,13 @@ def test_crlf_inside_a_quoted_code_is_shown_as_crlf(tmp_path):
     assert str(info.value) == "row 2: malformed reporter entity code 'U\\r\\nS'"
 
 
-def padded_flow_bytes(bad_byte_row: int) -> bytes:
+def padded_flow_bytes(bad_byte_row: int, newline: bytes = b"\n") -> bytes:
     """A flow file of 1,000 valid rows (about 20 KiB) with a non-UTF-8 byte in
     the code of row `bad_byte_row` (the header is row 1)."""
     lines = [HEADER.encode()] + [f"2008-Q3,A{k:05d},B{k:05d},1.5".encode()
                                  for k in range(2, 1002)]
     lines[bad_byte_row - 1] = b"2008-Q3,B\xff,A,5"
-    return b"\n".join(lines) + b"\n"
+    return newline.join(lines) + newline
 
 
 def test_non_utf8_byte_past_the_first_chunk_names_the_file_and_a_line(tmp_path):
@@ -506,10 +532,24 @@ def test_non_utf8_byte_past_the_first_chunk_names_the_file_and_a_line(tmp_path):
     path.write_bytes(data)
     with pytest.raises(DataError) as info:
         parse_flow_file(path)
-    match = re.fullmatch(rf"{re.escape(str(path))}: not UTF-8 text after line (\d+)",
-                         str(info.value))
-    # The line named was read whole, in a decoded chunk before the bad byte's.
-    assert match and 400 < int(match.group(1)) < 900
+    assert str(info.value) == f"{path}: line 900 is not UTF-8 text"
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("bad_byte_row", [5, 900])
+@pytest.mark.parametrize("read", [
+    parse_flow_file,
+    lambda path: convert_bis_file(path, BisMapping(period="period", reporter="reporter",
+                                                   counterparty="counterparty",
+                                                   value="amount")),
+], ids=["flow-csv", "extract"])
+def test_both_readers_name_the_exact_non_utf8_line(tmp_path, read, bad_byte_row, newline):
+    # Row 5 sits in the decoder's first 8 KiB chunk and row 900 well past it.
+    path = tmp_path / "flows.csv"
+    path.write_bytes(padded_flow_bytes(bad_byte_row, newline))
+    with pytest.raises(DataError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: line {bad_byte_row} is not UTF-8 text"
 
 
 def test_bad_row_before_the_first_non_utf8_byte_is_reported_as_that_row(tmp_path):

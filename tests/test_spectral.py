@@ -197,14 +197,14 @@ SLOWER_LAST = np.array([[1.0, 0.5], [0.2, 1.0]])  # needs 68 steps
 @pytest.mark.parametrize("stack", [[FAST, SLOW, FAST], [FAST, SLOW, FAST, SLOWER_LAST]])
 def test_iteration_cap_off_the_block_grid(monkeypatch, stack):
     # The error names the first unconverged matrix, with the residual and
-    # message given by the solver that tested every step as it ran
-    # (`reference_power_iteration` in test_solver_adversarial.py).
+    # message given by the one-matrix loop `reference_power_iteration` in
+    # test_solver_adversarial.py.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 37)
     with pytest.raises(ConvergenceError) as excinfo:
         leading_eigenpair(np.array(stack))
     error = excinfo.value
     assert (error.iterations, error.index) == (37, 1)
-    assert error.residual == 2.6953391696898614e-05
+    assert error.residual == 2.695339169695932e-05
     assert str(error) == ("power iteration did not converge within 37 iterations "
                           "(residual 2.695e-05, lambda 1.864570e+00)")
 
