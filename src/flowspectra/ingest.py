@@ -13,9 +13,12 @@ import json
 import math
 import re
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -27,6 +30,12 @@ ENTITY_PATTERN = re.compile(r"^[A-Z0-9][A-Z0-9_.\-]*$")
 FLOW_CSV_HEADER = ("period", "reporter", "counterparty", "amount")
 
 DEFAULT_SYNTHETIC_PERIOD = "2000-Q1"
+
+#: Characters of flow CSV text the plain-line parse reads at a time. Each
+#: block's line and field strings live until the block is done: on 20,000
+#: rows, 8 KiB keeps the parse's peak at 1.9 times the columns it returns,
+#: and 64 KiB takes it to 3.4 times.
+_PLAIN_BLOCK = 8192
 
 
 def _check_period(label: str) -> None:
@@ -70,11 +79,18 @@ class FlowRecordSet:
                                      "counterparty_index", "amounts")))
 
 
-def _intern(ids: dict[str, int], code: str, pattern: re.Pattern, row_no: int, message: str) -> int:
+def _period_code(raw: str) -> str:
+    return raw.strip()
+
+
+def _entity_code(raw: str) -> str:
+    return raw.strip().upper()
+
+
+def _intern(ids: dict[str, int], code: str, pattern: re.Pattern) -> int | None:
+    """The first-seen index of a canonical code, or None if it fails `pattern`."""
     index = ids.get(code)
-    if index is None:
-        if not pattern.match(code):
-            raise DataError(f"row {row_no}: {message.format(code)}")
+    if index is None and pattern.match(code):
         index = ids[code] = len(ids)
     return index
 
@@ -105,20 +121,25 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
             except (KeyError, TypeError, ValueError):  # a new spelling, or a failure
                 seen = False
             if not seen:
-                period = row[0].strip()
-                reporter = row[1].strip().upper()
-                counterparty = row[2].strip().upper()
+                period = _period_code(row[0])
+                reporter = _entity_code(row[1])
+                counterparty = _entity_code(row[2])
                 try:
                     amount = float(row[3])
                 except ValueError:
                     raise DataError(f"row {row_no}: negative or non-numeric amount "
                                     f"{row[3].strip()!r}") from None
-                p = _intern(period_ids, period, PERIOD_PATTERN, row_no,
-                            "malformed period label {!r} (expected YYYY-Qn)")
-                r = _intern(entity_ids, reporter, ENTITY_PATTERN, row_no,
-                            "malformed reporter entity code {!r}")
-                c = _intern(entity_ids, counterparty, ENTITY_PATTERN, row_no,
-                            "malformed counterparty entity code {!r}")
+                p = _intern(period_ids, period, PERIOD_PATTERN)
+                if p is None:
+                    raise DataError(f"row {row_no}: malformed period label {period!r} "
+                                    "(expected YYYY-Qn)")
+                r = _intern(entity_ids, reporter, ENTITY_PATTERN)
+                if r is None:
+                    raise DataError(f"row {row_no}: malformed reporter entity code {reporter!r}")
+                c = _intern(entity_ids, counterparty, ENTITY_PATTERN)
+                if c is None:
+                    raise DataError(f"row {row_no}: malformed counterparty entity code "
+                                    f"{counterparty!r}")
                 if r == c:
                     raise DataError(f"row {row_no}: reporter equals counterparty ({reporter!r})")
                 if not math.isfinite(amount) or amount < 0:
@@ -131,14 +152,24 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
             # float() or str methods; the handler costs the valid rows nothing.
             raise DataError(f"row {row_no}: field of the wrong type ({exc})") from None
 
+    index = np.frombuffer(keys, dtype=np.int64).reshape(-1, 3)
+    return _record_set(period_ids, entity_ids, index[:, 0], index[:, 1], index[:, 2], amounts)
+
+
+def _record_set(period_ids: dict[str, int], entity_ids: dict[str, int], p: np.ndarray,
+                r: np.ndarray, c: np.ndarray, amounts: array) -> FlowRecordSet:
+    """The record set of columns that hold first-seen indices into `period_ids`
+    and `entity_ids`: the labels sorted, the indices renumbered to match."""
     periods, entities = tuple(sorted(period_ids)), tuple(sorted(entity_ids))
     # Each list maps a sorted position to a first-seen index; argsort inverts it.
     period_position = np.argsort([period_ids[code] for code in periods])
     entity_position = np.argsort([entity_ids[code] for code in entities])
-    index = np.frombuffer(keys, dtype=np.int64).reshape(-1, 3)
-    return FlowRecordSet(periods, entities, period_position[index[:, 0]],
-                         entity_position[index[:, 1]], entity_position[index[:, 2]],
-                         np.frombuffer(amounts, dtype=float))
+    return FlowRecordSet(periods, entities, period_position[p], entity_position[r],
+                         entity_position[c], np.frombuffer(amounts, dtype=float))
+
+
+def _header_names(header: Sequence[str]) -> tuple[str, ...]:
+    return tuple(cell.strip().lstrip("\ufeff") for cell in header)
 
 
 def _parse_flow_rows(reader: Iterator[list[str]]) -> FlowRecordSet:
@@ -147,7 +178,7 @@ def _parse_flow_rows(reader: Iterator[list[str]]) -> FlowRecordSet:
         header = next(reader, None)
         if header is None:
             raise DataError("row 1: missing header")
-        names = tuple(cell.strip().lstrip("\ufeff") for cell in header)
+        names = _header_names(header)
         if names != FLOW_CSV_HEADER:
             missing = [c for c in FLOW_CSV_HEADER if c not in names]
             if missing:
@@ -158,6 +189,98 @@ def _parse_flow_rows(reader: Iterator[list[str]]) -> FlowRecordSet:
         raise DataError(f"row {reader.line_num}: {exc}") from None
 
 
+def _column_ids(at: dict[str, int], ids: dict[str, int], column: list[str],
+                code: Callable[[str], str], pattern: re.Pattern) -> list[int] | None:
+    """The index of each raw spelling in `column` through `at`. A spelling not
+    in `at` yet is canonicalised by `code` and interned in `ids` as
+    `_validate` does; None if its code fails `pattern`."""
+    try:
+        return list(map(at.__getitem__, column))
+    except KeyError:  # a spelling not seen before
+        for raw in column:
+            if raw not in at:
+                index = _intern(ids, code(raw), pattern)
+                if index is None:
+                    return None
+                at[raw] = index
+        return list(map(at.__getitem__, column))
+
+
+def _parse_plain_lines(handle: TextIO) -> FlowRecordSet | None:
+    """Parse flow CSV text in which every line is plain; None at the first
+    line that is not, or at a record the csv path would reject.
+
+    A plain line ends in LF, holds exactly three commas (so it is not blank)
+    and no quote, CR or NUL, and is no longer than `csv.field_size_limit()`:
+    `csv.reader` splits it exactly as `line.split(",")` does. The text is
+    read `_PLAIN_BLOCK` characters at a time and the whole lines of each
+    block are split into four columns. Each new raw spelling is interned
+    once; an amount float() rejects raises ValueError. Self-loops and the
+    sign and finiteness of the amounts are checked on the finished columns.
+    """
+    limit = csv.field_size_limit()
+    period_ids: dict[str, int] = {}
+    entity_ids: dict[str, int] = {}
+    period_at: dict[str, int] = {}  # raw spelling -> index
+    entity_at: dict[str, int] = {}
+    keys = array("q"), array("q"), array("q")  # p, r, c
+    amounts = array("d")
+    header, rest = None, ""
+    for block in iter(partial(handle.read, _PLAIN_BLOCK), ""):
+        text = rest + block
+        end = text.rfind("\n") + 1
+        whole, rest = text[:end], text[end:]
+        if len(rest) > limit:
+            return None
+        if not whole:
+            continue
+        lines = whole.split("\n")
+        lines.pop()  # the empty string after the last LF
+        if ('"' in whole or "\r" in whole or "\0" in whole
+                or {*map(str.count, lines, repeat(","))} != {3}
+                or (len(whole) > limit and max(map(len, lines)) > limit)):
+            return None
+        fields = ",".join(lines).split(",")
+        if header is None:
+            header, fields = fields[:4], fields[4:]
+            if _header_names(header) != FLOW_CSV_HEADER:
+                return None
+        columns = (
+            _column_ids(period_at, period_ids, fields[0::4], _period_code, PERIOD_PATTERN),
+            _column_ids(entity_at, entity_ids, fields[1::4], _entity_code, ENTITY_PATTERN),
+            _column_ids(entity_at, entity_ids, fields[2::4], _entity_code, ENTITY_PATTERN))
+        if None in columns:
+            return None
+        for column, ids in zip(keys, columns):
+            column.fromlist(ids)
+        amounts.extend(map(float, fields[3::4]))
+    if rest or header is None:  # a last line without LF, or no header line
+        return None
+    p, r, c = (np.frombuffer(column, dtype=np.int64) for column in keys)
+    values = np.frombuffer(amounts, dtype=float)
+    if (r == c).any() or not np.all((values >= 0) & (values < math.inf)):
+        return None
+    return _record_set(period_ids, entity_ids, p, r, c, amounts)
+
+
+def _parse_flow_text(handle: TextIO) -> FlowRecordSet:
+    """Parse flow CSV from an open text handle at its start: by plain lines
+    (`_parse_plain_lines`) when the whole text is plain, else from the start
+    again with the csv reader. The csv reader is the reference: it words
+    every error and is the only path for quoted, CRLF, lone-CR or blank-line
+    text. A handle that cannot seek back, such as a pipe, goes straight to it.
+    """
+    if handle.seekable():
+        try:
+            records = _parse_plain_lines(handle)
+        except ValueError:  # an amount float() rejects, or bytes that are not UTF-8
+            records = None
+        if records is not None:
+            return records
+        handle.seek(0)
+    return _parse_flow_rows(csv.reader(handle))
+
+
 def parse_flow_csv(source: str) -> FlowRecordSet:
     """Parse flow CSV text into a FlowRecordSet.
 
@@ -166,8 +289,10 @@ def parse_flow_csv(source: str) -> FlowRecordSet:
     or a lone CR. Errors carry the 1-based row number (the header is row 1);
     blank lines count as rows. A field over the csv size limit is reported at
     its line number, which is the row number unless a quoted field spans lines.
+    Plain text, in which every line ends in LF and holds three commas and no
+    quote, is split by lines; any other text is read by the csv reader.
     """
-    return _parse_flow_rows(csv.reader(io.StringIO(source, newline="")))
+    return _parse_flow_text(io.StringIO(source, newline=""))
 
 
 def read_utf8(path: str | Path, error: type[FlowspectraError]) -> str:
@@ -196,12 +321,13 @@ def _not_utf8(path: str | Path) -> DataError:
 
 def parse_flow_file(path: str | Path) -> FlowRecordSet:
     """Parse a UTF-8 flow CSV file as `parse_flow_csv` parses its text,
-    reading it row by row. Rows are checked as they are read, 8 KiB of text
-    at a time, so a bad row in a piece before the one that holds the first
+    reading it 8 KiB at a time. A file the plain-line path gives up on is read
+    again from its start by the csv reader, which checks rows as it reads
+    them, so a bad row in a piece before the one that holds the first
     non-UTF-8 byte is reported as that row's error."""
     with open(path, encoding="utf-8", newline="") as handle:
         try:
-            return _parse_flow_rows(csv.reader(handle))
+            return _parse_flow_text(handle)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
 

@@ -122,8 +122,15 @@ def volume_share(snapshot: NetworkSnapshot, mode: str = "both") -> np.ndarray:
 
 
 def snapshot_to_flow_csv(snapshot: NetworkSnapshot) -> str:
-    """Render the snapshot's edges as flow CSV (row-major edge order)."""
+    """Render the snapshot's edges as flow CSV (row-major edge order), then
+    one zero-amount row `period,E,X,0.0` for each entity E without a link, X
+    being the first other entity of the roster, so the reparsed roster is
+    the snapshot's."""
     rows, cols = np.nonzero(snapshot.weights)
+    linked = np.zeros(snapshot.n_entities, dtype=bool)
+    linked[rows] = linked[cols] = True
+    idle = np.flatnonzero(~linked)
+    rows, cols = np.concatenate([rows, idle]), np.concatenate([cols, (idle == 0).astype(int)])
     edges = FlowRecordSet((snapshot.period,), snapshot.entities, np.zeros_like(rows),
                           rows, cols, snapshot.weights[rows, cols])
     return serialize_flow_csv(edges)

@@ -61,18 +61,25 @@ def _replicas(snapshot: NetworkSnapshot, seed: int, mode: str, count: int,
         raise DataError(f"{snapshot.period}: snapshot has no edges to shuffle")
     values = snapshot.weights.flat[positions]
     rng = np.random.default_rng(seed)
-    stack = np.zeros((count, n * n))
+    draws = np.empty((count, n_edges), dtype=np.intp)
     for k in range(-first, count):
         if mode == MODE_LINK_SHUFFLE:
-            # Distinct slots in the n(n-1) off-diagonal index space, no rejection
-            # loop; slot row*(n-1) + rest is at flat index slot + row + (rest >= row).
-            slots = rng.choice(n * (n - 1), size=n_edges, replace=False)
-            row, rest = divmod(slots, n - 1)
-            flat, placed = slots + row + (rest >= row), values
+            # Distinct slots in the n(n-1) off-diagonal index space, no rejection loop.
+            draw = rng.choice(n * (n - 1), size=n_edges, replace=False)
         else:
-            flat, placed = positions, values[rng.permutation(n_edges)]
+            draw = rng.permutation(n_edges)
         if k >= 0:
-            stack[k, flat] = placed
+            draws[k] = draw
+    stack = np.zeros((count, n * n))
+    replica = np.arange(count)[:, None]
+    if mode == MODE_LINK_SHUFFLE:
+        # Slot row*(n-1) + rest is at flat index slot + row + (rest >= row).
+        slots = np.arange(n * (n - 1))
+        row, rest = divmod(slots, n - 1)
+        flat_of_slot = slots + row + (rest >= row)
+        stack[replica, flat_of_slot[draws]] = values
+    else:
+        stack[replica, positions] = values[draws]
     return stack.reshape(count, n, n)
 
 

@@ -62,7 +62,7 @@ def ipr(vectors: np.ndarray) -> float | np.ndarray:
     gives the (R,) IPRs of its rows, each with the bits of the row alone.
     """
     v = _unit_vectors(vectors)
-    iprs = 1.0 / np.sum(v ** 4, axis=-1)
+    iprs = 1.0 / np.sum(np.square(v * v), axis=-1)  # v ** 4 would call libm pow per element
     return float(iprs) if v.ndim == 1 else iprs
 
 

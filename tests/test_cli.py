@@ -1,9 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
-from flowspectra import ConvergenceError, leading_eigenpair, parse_flow_file
+from flowspectra import ConvergenceError, build_snapshot, leading_eigenpair, parse_flow_file
 from flowspectra.cli import main
 from flowspectra.spectral import MODE_SYMMETRIZED, SPECTRUM_MODES, symmetric_lambda_max
 
@@ -166,16 +165,13 @@ def test_shuffle_replica_is_the_replica_the_null_solved(tmp_path, spectrum_mode)
     assert main(["timeseries", *run, "--null-samples", "10", "--spectrum-mode", spectrum_mode,
                  "--include-lambda-values", "--out", str(tmp_path / "all")]) == 0
     entry = json.loads((tmp_path / "all" / "timeseries.json").read_text())["periods"][1]
-    index = {name: i for i, name in enumerate(entry["entities"])}
     for replica in (0, 7):
         assert main(["shuffle", *run, "--period", entry["period"],
                      "--replica", str(replica), "--out", str(tmp_path / "shuffle")]) == 0
         surrogate = parse_flow_file(tmp_path / "shuffle" / f"shuffle_{entry['period']}.csv")
-        # On the full roster: entities the shuffle left without links are not in the CSV.
-        weights = np.zeros((len(index),) * 2)
-        names = [index[name] for name in surrogate.entities]
-        weights[[names[i] for i in surrogate.reporter_index],
-                [names[j] for j in surrogate.counterparty_index]] = surrogate.amounts
+        snapshot = build_snapshot(surrogate, entry["period"])
+        assert list(snapshot.entities) == entry["entities"]
+        weights = snapshot.weights
         if spectrum_mode == MODE_SYMMETRIZED:
             alone = float(symmetric_lambda_max((weights + weights.T) / 2.0))
         else:

@@ -1,9 +1,12 @@
+import csv
+import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowspectra import (
     BisMapping,
@@ -20,6 +23,7 @@ from flowspectra import (
     parse_flow_file,
     serialize_flow_csv,
 )
+from flowspectra import ingest
 from flowspectra.ingest import (convert_bis_file, period_sequence, shift_quarter,
                                 write_flow_file)
 
@@ -475,6 +479,14 @@ def test_hostile_row_at_any_position_names_its_row(rows, hostile, data):
 
 # --- reading and writing flow files -----------------------------------------
 
+def past_the_first_block(tail: str) -> bytes:
+    """A flow file of 500 plain rows (about 11 KB, so past the parser's first
+    8 KiB block), then `tail`."""
+    rows = "".join(f"2008-Q3,A{k:03d},B{k:03d},1.5\n" for k in range(500))
+    assert len(HEADER) + len(rows) > 8192
+    return f"{HEADER}\n{rows}{tail}".encode()
+
+
 BOTH_ENTRY_POINTS = [
     pytest.param(f"{HEADER}\n2008-Q3,US,GB,1\n2008-Q3,GB,US,2\n".encode(), id="lf"),
     pytest.param(f"{HEADER}\r\n2008-Q3,US,GB,1\r\n2008-Q3,GB,US,2\r\n".encode(), id="crlf"),
@@ -490,7 +502,29 @@ BOTH_ENTRY_POINTS = [
                  id="oversized-field"),
     pytest.param(f'{HEADER}\n2008-Q3,US,GB,1\n2008-Q3,"GB,US,2\n'.encode(),
                  id="unterminated-quote"),
+    pytest.param(past_the_first_block("2008-Q3, gb ,us,2\n"), id="late-padded-codes"),
+    pytest.param(past_the_first_block('2008-Q3,"GB",US,2\n'), id="late-quote"),
+    pytest.param(past_the_first_block("2008-Q3,GB,US,2\r\n2008-Q3,US,GB,3\r\n"),
+                 id="late-crlf"),
+    pytest.param(past_the_first_block("\n2008-Q3,GB,US,2\n"), id="late-blank-line"),
+    pytest.param(past_the_first_block("2008-Q3,G\0B,US,2\n"), id="late-nul-byte"),
+    pytest.param(past_the_first_block("2008-Q3,GB,US,1e400\n"), id="late-bad-amount"),
+    pytest.param(past_the_first_block("2008-Q3,GB,US,abc\n"), id="late-text-amount"),
+    pytest.param(past_the_first_block("2008-Q3,GB,gb,2\n"), id="late-self-loop"),
+    pytest.param(past_the_first_block("2008-Q3,GB,US,2"), id="late-no-final-newline"),
+    pytest.param(past_the_first_block("2008-Q3,GB,US\n2,2008-Q3,US,GB,3\n"),
+                 id="late-row-split-across-lines"),
+    pytest.param(past_the_first_block(f"2008-Q3,{'A' * 131_073},US,2\n"),
+                 id="late-field-just-past-the-limit"),
+    pytest.param(f"{HEADER}\n".encode(), id="header-only"),
 ]
+
+
+def csv_reference(text: str):
+    """The csv reader's parse of flow CSV text: the reference of the plain-line
+    path, as a record set or the error text."""
+    return parse_or_error(lambda source: ingest._parse_flow_rows(
+        csv.reader(io.StringIO(source, newline=""))), text)
 
 
 def parse_or_error(parse, source):
@@ -505,7 +539,88 @@ def test_file_and_text_entry_points_agree(tmp_path, data):
     path = tmp_path / "flows.csv"
     path.write_bytes(data)
     from_file = parse_or_error(parse_flow_file, path)
-    assert from_file == parse_or_error(parse_flow_csv, data.decode("utf-8"))
+    text = data.decode("utf-8")
+    assert from_file == parse_or_error(parse_flow_csv, text) == csv_reference(text)
+
+
+@st.composite
+def perturbed_flow_texts(draw):
+    """Flow CSV text of plain rows, some of them past the first 8 KiB block,
+    with a few perturbations that the plain-line path must either take as
+    the csv reader does or give up on."""
+    rows = [f"{p},{r},{c},{x!r}" for p, r, c, x in draw(good_rows())]
+    # 500 filler rows take the text past the first block (18 characters each).
+    lines = [HEADER, *["2008-Q3,AA,BB,1.5"] * draw(st.sampled_from([500, 3, 0])), *rows]
+    for _ in range(draw(st.integers(0, 3), label="perturbations")):
+        k = draw(st.integers(1, len(lines)), label="line")
+        line = lines[k] if k < len(lines) else "2008-Q3,CC,DD,2"
+        cells = line.split(",")
+        cell = draw(st.integers(0, 3), label="cell")
+        text = cells[cell]
+        edited = {"quote": f'"{text}"', "stray-quote": f'{text}"x', "cr": f"{text}\r",
+                  "nul": f"{text}\0", "lower": text.lower(), "padded": f" {text} ",
+                  "bad-code": f"{text}$"}
+        amount = {"nan": "nan", "negative": "-1", "underscore": "1_0", "word": "abc"}
+        change = draw(st.sampled_from([*edited, *amount, "crlf", "blank", "three-fields",
+                                       "five-fields"]))
+        if change in edited:
+            cells[cell] = edited[change]
+        elif change in amount:
+            cells[3] = amount[change]
+        row = ",".join(cells)
+        lines[k:k + 1] = {"crlf": [row + "\r"], "blank": ["", row],
+                          "three-fields": [",".join(cells[:3])],
+                          "five-fields": [row + ",1"]}.get(change, [row])
+    if draw(st.booleans(), label="bom"):
+        lines[0] = "\ufeff" + lines[0]
+    if draw(st.booleans(), label="cr in header"):
+        lines[0] = lines[0].replace(",", ",\r", 1)
+    return "\n".join(lines) + "\n"
+
+
+def test_plain_line_path_agrees_with_the_csv_reader():
+    outcomes = set()
+
+    @settings(max_examples=150)
+    @given(perturbed_flow_texts())
+    def agree(text):
+        result = parse_or_error(parse_flow_csv, text)
+        assert result == csv_reference(text)
+        outcomes.add(type(result))
+
+    agree()
+    assert outcomes == {FlowRecordSet, str}
+
+
+def test_written_flow_file_takes_the_plain_line_path(tmp_path, monkeypatch):
+    records = generate_synthetic_series(n_core=3, n_periphery=12, core_weight_scale=100.0,
+                                        periphery_weight_scale=1.0, n_periods=6, seed=3,
+                                        link_prob_start=0.1, link_prob_end=0.6)
+    write_flow_file(records, tmp_path / "flows.csv")
+    assert (tmp_path / "flows.csv").stat().st_size > 8192
+
+    def no_csv_reader(*args, **kwargs):
+        raise AssertionError("the csv reader ran")
+
+    monkeypatch.setattr(csv, "reader", no_csv_reader)
+    assert parse_flow_file(tmp_path / "flows.csv") == records
+    assert parse_flow_csv(serialize_flow_csv(records)) == records
+
+
+def test_a_pipe_is_read_by_the_csv_reader(monkeypatch):
+    data = past_the_first_block("2008-Q3,GB,US,2\n")
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda handle: calls.append(handle) or reader(handle))
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as pipe:
+        pipe.write(data)  # within the pipe buffer, so no writer thread is needed
+    try:
+        records = parse_flow_file(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert len(calls) == 1
+    assert records == parse_flow_csv(data.decode())
 
 
 def test_crlf_inside_a_quoted_code_is_shown_as_crlf(tmp_path):

@@ -163,3 +163,18 @@ def test_snapshot_flow_csv_rebuilds_same_matrix():
     records = parse_flow_csv(snapshot_to_flow_csv(snapshot))
     rebuilt = build_snapshot(records, "2008-Q3")
     assert np.array_equal(rebuilt.weights, snapshot.weights)
+
+
+@pytest.mark.parametrize("idle", [[0], [2], [0, 3], [0, 1, 2, 3]], ids=str)
+def test_snapshot_flow_csv_keeps_entities_without_links(idle):
+    weights = np.arange(16.0).reshape(4, 4)
+    np.fill_diagonal(weights, 0.0)
+    weights[idle, :] = weights[:, idle] = 0.0
+    snapshot = NetworkSnapshot("2008-Q3", ("A", "B", "C", "D"), weights)
+    text = snapshot_to_flow_csv(snapshot)
+    for entity in idle:
+        other = "B" if entity == 0 else "A"
+        assert f"2008-Q3,{'ABCD'[entity]},{other},0.0\n" in text
+    rebuilt = build_snapshot(parse_flow_csv(text), "2008-Q3")
+    assert rebuilt.entities == snapshot.entities
+    assert rebuilt.weights.tobytes() == snapshot.weights.tobytes()
