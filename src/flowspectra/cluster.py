@@ -76,13 +76,48 @@ def distance_matrix(sym: np.ndarray) -> np.ndarray:
     return distances
 
 
+def _capacity(live: int) -> int:
+    """Buffer positions for `live` clusters: half as many again for the
+    clusters merges will append, but no more than the 2·live − 1 that the
+    remaining live − 1 merges can use."""
+    return min(live + live // 2 + 2, 2 * live - 1)
+
+
+def _compacted(dist: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """A fresh +inf buffer for `len(keep) + 1` live clusters whose leading
+    block holds the rows and columns of `dist` at positions `keep`."""
+    size = _capacity(len(keep) + 1)
+    fresh = np.full((size, size), np.inf)
+    fresh[:len(keep), :len(keep)] = dist[np.ix_(keep, keep)]
+    return fresh
+
+
+def _merge_height(height: float, last: float) -> float:
+    """The height to report for a merge at linkage distance `height` that
+    follows one reported at `last`. A fall of at most 4 ulps of `last`, as
+    rounding in the size-weighted means gives, reports `last`; a larger fall
+    or a non-finite height raises."""
+    if height < last and last - height <= 4 * np.spacing(abs(last)):
+        return last
+    if not last <= height < np.inf:
+        raise DataError(f"linkage produced a decreasing or non-finite merge height ({height!r})")
+    return height
+
+
 def agglomerate(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
     """Agglomerative clustering of an (N, N) distance matrix.
 
     Only the upper triangle is read, and it must be finite. The pair of
     clusters at minimal linkage distance merges first; ties go to the
     smallest (id, id) pair. Average linkage updates distances as size-weighted
-    means (UPGMA), single as minima, complete as maxima. Heights never decrease.
+    means (UPGMA), single as minima, complete as maxima. Heights never
+    decrease: a merge whose linkage distance falls below the previous height
+    by at most 4 ulps of it (rounding in the size-weighted means) is reported
+    at the previous height; a larger fall or a non-finite height raises.
+
+    The distance matrix holds only live clusters. Its positions carry cluster
+    ids in increasing order and each new cluster is appended; when the buffer
+    is full, the live rows and columns move, in id order, into a smaller one.
     """
     if linkage not in LINKAGES:
         raise DataError(f"unknown linkage {linkage!r} (expected one of {LINKAGES})")
@@ -91,36 +126,45 @@ def agglomerate(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
         raise DataError("need a square distance matrix over at least 2 items")
     n = len(values)
 
-    # One row and column per cluster id. +inf marks the diagonal, retired ids
-    # and ids not formed yet, so the minimum is always over active pairs.
-    m = 2 * n - 1
-    dist = np.full((m, m), np.inf)
+    # Position p holds cluster ids[p], ids increasing, -1 once retired. +inf
+    # marks the diagonal, retired clusters and positions past len(ids), so
+    # the minimum is always over live pairs.
+    dist = np.full((_capacity(n),) * 2, np.inf)
     rows, cols = np.triu_indices(n, 1)
     dist[rows, cols] = dist[cols, rows] = values[rows, cols]
     if not np.isfinite(dist[rows, cols]).all():
         raise DataError("distances must be finite")
+    ids = list(range(n))
     sizes = [1] * n
     min_leaf = list(range(n))
     merges: list[Merge] = []
     last_height = -np.inf
 
-    for new_id in range(n, m):
-        # Symmetric, so the row-major first minimum is the smallest pair, a < b.
-        a, b = divmod(int(np.argmin(dist)), m)
-        height = float(dist[a, b])
-        if not last_height <= height < np.inf:
-            raise DataError(f"linkage produced a decreasing or non-finite merge height ({height!r})")
-        last_height = height
+    for new_id in range(n, 2 * n - 1):
+        # Symmetric with ids increasing along the positions, so the row-major
+        # first minimum of the used rows is the smallest pair, a < b.
+        used = len(ids)
+        pa, pb = divmod(int(np.argmin(dist[:used])), len(dist))
+        a, b = ids[pa], ids[pb]
+        height = last_height = _merge_height(float(dist[pa, pb]), last_height)
         if linkage == "average":
             # An overflow gives inf, which the height check of a later merge rejects.
             with np.errstate(over="ignore"):
-                row = (sizes[a] * dist[a] + sizes[b] * dist[b]) / (sizes[a] + sizes[b])
+                row = ((sizes[a] * dist[pa, :used] + sizes[b] * dist[pb, :used])
+                       / (sizes[a] + sizes[b]))
         elif linkage == "single":
-            row = np.minimum(dist[a], dist[b])
+            row = np.minimum(dist[pa, :used], dist[pb, :used])
         else:
-            row = np.maximum(dist[a], dist[b])
-        dist[new_id] = dist[:, new_id] = row
-        dist[[a, b]] = dist[:, [a, b]] = np.inf
+            row = np.maximum(dist[pa, :used], dist[pb, :used])
+        row[pa] = row[pb] = np.inf
+        dist[pa, :used] = dist[pb, :used] = dist[:used, pa] = dist[:used, pb] = np.inf
+        ids[pa] = ids[pb] = -1
+        if used == len(dist):
+            keep = np.flatnonzero(np.array(ids) >= 0)
+            dist, row = _compacted(dist, keep), row[keep]
+            ids = [ids[p] for p in keep]
+        dist[len(ids), :len(ids)] = dist[:len(ids), len(ids)] = row
+        ids.append(new_id)
 
         # The child whose subtree holds the smaller leaf index goes left, so
         # an in-order traversal keeps early entities early.

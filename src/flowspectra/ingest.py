@@ -263,12 +263,26 @@ def _parse_plain_lines(handle: TextIO) -> FlowRecordSet | None:
     return _record_set(period_ids, entity_ids, p, r, c, amounts)
 
 
+def _bounded_lines(handle: TextIO) -> Iterator[str]:
+    """The lines of `handle` as the csv reader iterates them, each read with
+    a bound: a line longer than the longest a valid row can have (four fields
+    at the csv size limit, each quoted with every character a doubled quote,
+    three commas and a CRLF) raises before it is read whole."""
+    cap = 4 * (2 * csv.field_size_limit() + 2) + 5
+    for line_no, line in enumerate(iter(partial(handle.readline, cap + 1), ""), start=1):
+        if len(line) > cap:
+            raise DataError(f"row {line_no}: line longer than {cap} characters")
+        yield line
+
+
 def _parse_flow_text(handle: TextIO) -> FlowRecordSet:
     """Parse flow CSV from an open text handle at its start: by plain lines
     (`_parse_plain_lines`) when the whole text is plain, else from the start
     again with the csv reader. The csv reader is the reference: it words
     every error and is the only path for quoted, CRLF, lone-CR or blank-line
     text. A handle that cannot seek back, such as a pipe, goes straight to it.
+    The csv reader gets bounded lines (`_bounded_lines`), so an over-long
+    line is rejected after about a million of its characters are read.
     """
     if handle.seekable():
         try:
@@ -278,7 +292,7 @@ def _parse_flow_text(handle: TextIO) -> FlowRecordSet:
         if records is not None:
             return records
         handle.seek(0)
-    return _parse_flow_rows(csv.reader(handle))
+    return _parse_flow_rows(csv.reader(_bounded_lines(handle)))
 
 
 def parse_flow_csv(source: str) -> FlowRecordSet:
@@ -287,8 +301,9 @@ def parse_flow_csv(source: str) -> FlowRecordSet:
     Expects the header ``period,reporter,counterparty,amount``; entity codes
     are trimmed and uppercased, row order is preserved. Lines end at LF, CRLF
     or a lone CR. Errors carry the 1-based row number (the header is row 1);
-    blank lines count as rows. A field over the csv size limit is reported at
-    its line number, which is the row number unless a quoted field spans lines.
+    blank lines count as rows. A field over the csv size limit, or a line
+    longer than any valid row, is reported at its line number, which is the
+    row number unless a quoted field spans lines.
     Plain text, in which every line ends in LF and holds three commas and no
     quote, is split by lines; any other text is read by the csv reader.
     """

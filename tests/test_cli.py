@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from flowspectra import ConvergenceError, build_snapshot, leading_eigenpair, parse_flow_file
@@ -195,6 +196,23 @@ def test_dendrogram_json_and_newick(flows_csv, capsys):
                  "--format", "newick"]) == 0
     text = capsys.readouterr().out.strip()
     assert text.startswith("(") and text.endswith(";")
+
+
+def test_dendrogram_of_a_quarter_whose_average_linkage_falls_by_an_ulp(tmp_path, capsys):
+    """Every linked pair lends 1.0 both ways, so the distances are the 0/1
+    matrix `1 - u - u.T` off the diagonal; its last average-linkage merge
+    comes out one ulp below the merge before it."""
+    u = np.triu(np.random.default_rng(230).choice([0., 1.], size=(12, 12), p=[.3, .7]), 1)
+    codes = [f"E{k:02d}" for k in range(12)]
+    lines = [HEADER]
+    for i, j in zip(*np.nonzero(np.triu(u == 0, 1))):
+        lines += [f"2008-Q3,{codes[i]},{codes[j]},1.0", f"2008-Q3,{codes[j]},{codes[i]},1.0"]
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["dendrogram", "--input", str(path), "--period", "2008-Q3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["entities"] == codes
+    assert [m["height"] for m in payload["merges"]][-2:] == [0.8, 0.8]
 
 
 def test_convert_bis_subcommand(tmp_path, capsys):

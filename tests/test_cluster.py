@@ -8,11 +8,16 @@ from flowspectra import (
     Dendrogram,
     Merge,
     agglomerate,
+    build_snapshot,
+    cluster,
     dendrogram_to_json,
     distance_matrix,
+    generate_synthetic_series,
     leaf_order,
+    symmetrize,
     to_newick,
 )
+from flowspectra.cluster import LINKAGES
 
 
 def symmetric_of(matrix):
@@ -350,3 +355,164 @@ def test_average_linkage_overflow_raises_instead_of_merging_a_retired_id():
     with pytest.raises(DataError, match="non-finite merge height"):
         agglomerate(distances, "average")
     assert agglomerate(distances, "single").merges[-1].height == 1e308
+
+
+def dense_reference_agglomerate(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
+    """The dense agglomerate that the live-cluster buffer replaced, kept
+    verbatim: one (2N-1)² matrix over all cluster ids, scanned whole on
+    every merge. It raises on any fall of a merge height."""
+    if linkage not in LINKAGES:
+        raise DataError(f"unknown linkage {linkage!r} (expected one of {LINKAGES})")
+    values = np.asarray(distances, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or len(values) < 2:
+        raise DataError("need a square distance matrix over at least 2 items")
+    n = len(values)
+
+    # One row and column per cluster id. +inf marks the diagonal, retired ids
+    # and ids not formed yet, so the minimum is always over active pairs.
+    m = 2 * n - 1
+    dist = np.full((m, m), np.inf)
+    rows, cols = np.triu_indices(n, 1)
+    dist[rows, cols] = dist[cols, rows] = values[rows, cols]
+    if not np.isfinite(dist[rows, cols]).all():
+        raise DataError("distances must be finite")
+    sizes = [1] * n
+    min_leaf = list(range(n))
+    merges: list[Merge] = []
+    last_height = -np.inf
+
+    for new_id in range(n, m):
+        # Symmetric, so the row-major first minimum is the smallest pair, a < b.
+        a, b = divmod(int(np.argmin(dist)), m)
+        height = float(dist[a, b])
+        if not last_height <= height < np.inf:
+            raise DataError(f"linkage produced a decreasing or non-finite merge height ({height!r})")
+        last_height = height
+        if linkage == "average":
+            # An overflow gives inf, which the height check of a later merge rejects.
+            with np.errstate(over="ignore"):
+                row = (sizes[a] * dist[a] + sizes[b] * dist[b]) / (sizes[a] + sizes[b])
+        elif linkage == "single":
+            row = np.minimum(dist[a], dist[b])
+        else:
+            row = np.maximum(dist[a], dist[b])
+        dist[new_id] = dist[:, new_id] = row
+        dist[[a, b]] = dist[:, [a, b]] = np.inf
+
+        # The child whose subtree holds the smaller leaf index goes left, so
+        # an in-order traversal keeps early entities early.
+        left, right = (a, b) if min_leaf[a] <= min_leaf[b] else (b, a)
+        merges.append(Merge(left=left, right=right, height=height, id=new_id))
+        sizes.append(sizes[a] + sizes[b])
+        min_leaf.append(min(min_leaf[a], min_leaf[b]))
+
+    return Dendrogram(n_leaves=n, merges=tuple(merges))
+
+
+def bits(dendrogram):
+    return [(m.left, m.right, m.height.hex(), m.id) for m in dendrogram.merges]
+
+
+def tie_heavy(rng, n, values, p=None):
+    return _symmetric(rng.choice(values, size=(n, n), p=p))
+
+
+def benchmark_quarters(n_periphery):
+    """The distance matrices of the benchmark's wide-dendrogram quarters,
+    on a roster of 20 core and `n_periphery` periphery entities."""
+    records = generate_synthetic_series(20, n_periphery, 100.0, 1.0, 3, 1101,
+                                        link_prob_start=0.05, link_prob_end=0.5)
+    return [distance_matrix(symmetrize(build_snapshot(records, period)))
+            for period in records.periods]
+
+
+def scale_inputs(kind, n):
+    if kind == "synthetic":
+        return benchmark_quarters(n - 20)
+    rng = np.random.default_rng(n)
+    if kind == "binary":
+        return [tie_heavy(rng, n, [0.0, 1.0], p=[0.3, 0.7]) for _ in range(3)]
+    return [tie_heavy(rng, n, [0.0, 0.5, 1.0]) for _ in range(3)]
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "binary", "halves"])
+@pytest.mark.parametrize("linkage", LINKAGES)
+@pytest.mark.parametrize("n", [100, 200])
+def test_agglomerate_matches_the_dense_reference_at_benchmark_scale(n, linkage, kind):
+    compared = 0
+    for distances in scale_inputs(kind, n):
+        assert len(distances) == n
+        try:
+            want = bits(dense_reference_agglomerate(distances, linkage))
+        except DataError:
+            continue
+        assert bits(agglomerate(distances, linkage)) == want
+        compared += 1
+    assert compared >= 2
+
+
+def test_agglomerate_compacts_its_buffer_and_keeps_every_merge(monkeypatch):
+    compactions = []
+    compacted = cluster._compacted
+
+    def counting(dist, keep):
+        compactions.append(len(keep))
+        return compacted(dist, keep)
+
+    monkeypatch.setattr(cluster, "_compacted", counting)
+    distances = benchmark_quarters(180)[1]
+    for linkage in LINKAGES:
+        compactions.clear()
+        assert bits(agglomerate(distances, linkage)) == \
+               bits(dense_reference_agglomerate(distances, linkage))
+        assert len(compactions) >= 3
+        assert compactions == sorted(compactions, reverse=True)
+
+
+def test_a_merge_height_that_falls_by_one_ulp_is_the_previous_height():
+    u = np.triu(np.random.default_rng(230).choice([0.0, 1.0], size=(12, 12), p=[.3, .7]), 1)
+    with pytest.raises(DataError, match=r"decreasing or non-finite merge height "
+                                        r"\(0\.7999999999999999\)"):
+        dense_reference_agglomerate(u + u.T, "average")
+    heights = [m.height for m in agglomerate(u + u.T, "average").merges]
+    assert heights[-3:] == [0.75, 0.8, 0.8]
+
+
+def test_merge_height_rule():
+    previous = 0.8
+    below = [previous]
+    for _ in range(5):
+        below.append(float(np.nextafter(below[-1], 0.0)))
+    for height in below[1:5]:
+        assert cluster._merge_height(height, previous) == previous
+    with pytest.raises(DataError, match=f"decreasing or non-finite merge height \\({below[5]!r}\\)"):
+        cluster._merge_height(below[5], previous)
+    for height in (np.inf, np.nan):
+        with pytest.raises(DataError, match="non-finite merge height"):
+            cluster._merge_height(height, previous)
+    assert cluster._merge_height(0.9, previous) == 0.9
+    assert cluster._merge_height(-3.0, -np.inf) == -3.0
+    assert cluster._merge_height(float(np.nextafter(-1.0, -2.0)), -1.0) == -1.0
+
+
+def test_tie_heavy_sweep_never_falls_and_matches_where_the_dense_reference_runs():
+    """0/1 matrices at n = 12 in which some pairs lie 0 apart and the rest 1:
+    a few average-linkage merge heights fall by an ulp in the dense reference.
+    Then smaller sweeps of 0/1 and {0, 1/2, 1} matrices in every linkage."""
+    cases = [(np.random.default_rng(seed), 12, [0.0, 1.0], [0.3, 0.7], ("average",))
+             for seed in range(1500)]
+    rng = np.random.default_rng(2024)
+    cases += [(rng, int(rng.integers(12, 60)), values, None, LINKAGES)
+              for values in ([0.0, 1.0], [0.0, 0.5, 1.0]) for _ in range(40)]
+    fell = 0
+    for case_rng, n, values, p, linkages in cases:
+        distances = tie_heavy(case_rng, n, values, p)
+        for linkage in linkages:
+            got = agglomerate(distances, linkage)
+            heights = [m.height for m in got.merges]
+            assert heights == sorted(heights)
+            try:
+                assert bits(got) == bits(dense_reference_agglomerate(distances, linkage))
+            except DataError:
+                fell += 1
+    assert fell >= 4

@@ -701,6 +701,42 @@ def test_file_parse_memory_stays_near_the_columns_it_keeps(tmp_path):
     assert peak <= 3 * kept
 
 
+def test_an_over_long_line_is_rejected_before_it_is_read_whole(tmp_path):
+    """A 30 MB second line once peaked at 60 MB: the csv reader read it whole
+    before its field limit rejected it. Lines are now read with a bound of
+    the longest line a valid row can have."""
+    cap = 4 * (2 * csv.field_size_limit() + 2) + 5
+    path = tmp_path / "flows.csv"
+    path.write_text(f"{HEADER}\n2008-Q3,US,GB,{'9' * 30_000_000}\n2008-Q3,GB,US,1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"^row 2: line longer than {cap} characters$"):
+            parse_flow_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["cap", "cap-plus-1"])
+def test_line_length_bound_is_the_longest_valid_row(extra):
+    """A row of four fields at the size limit, every character a quote, is
+    exactly `cap` characters with its CRLF and reaches the row checks; one
+    more character on the line is rejected by its length."""
+    limit = 12  # the longest header name, "counterparty"
+    cap = 4 * (2 * limit + 2) + 5
+    row = ",".join(['"' + '""' * limit + '"'] * 4) + " " * extra + "\r\n"
+    assert len(row) == cap + extra
+    old_limit = csv.field_size_limit(limit)
+    try:
+        with pytest.raises(DataError) as info:
+            parse_flow_csv(f"{HEADER}\r\n{row}")
+    finally:
+        csv.field_size_limit(old_limit)
+    assert str(info.value) == ("row 2: negative or non-numeric amount '" + '"' * limit + "'"
+                               if extra == 0 else f"row 2: line longer than {cap} characters")
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 9000])
 def test_written_flow_file_is_the_serialized_text(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
