@@ -32,6 +32,7 @@ from .pipeline import (
     PipelineConfig,
     analyze_period,
     export,
+    json_text,
     null_seed,
     period_to_json,
     run_timeseries,
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
-        values = json.loads(read_utf8(args.config, ConfigError))
+        values = json.loads(read_utf8(args.config))
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(values) - set(PipelineConfig.__dataclass_fields__)
@@ -158,8 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args)
     records = parse_flow_file(args.input)
     result = analyze_period(records, args.period, config)
-    payload = period_to_json(result, config.include_lambda_values)
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out,
+    _emit(json_text(period_to_json(result, config.include_lambda_values)), args.out,
           f"period_{args.period}.json")
     return 0
 
@@ -198,7 +198,7 @@ def _cmd_dendrogram(args: argparse.Namespace) -> int:
         payload = dendrogram_to_json(dendrogram, snapshot.entities)
         payload["period"] = snapshot.period
         payload["linkage"] = args.linkage
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = json_text(payload)
         suffix = "json"
     _emit(text, args.out, f"dendrogram_{args.period}.{suffix}")
     return 0
@@ -222,7 +222,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert_bis(args: argparse.Namespace) -> int:
-    mapping = load_bis_mapping(read_utf8(args.mapping, ConfigError))
+    mapping = load_bis_mapping(read_utf8(args.mapping))
     conversion = convert_bis_file(args.input, mapping)
     logger.info("converted=%d filtered=%d dropped=%d reasons=%s",
                 conversion.converted, conversion.filtered, conversion.dropped,

@@ -22,7 +22,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FlowspectraError
+from .errors import ConfigError, DataError
 
 PERIOD_PATTERN = re.compile(r"^[0-9]{4}-Q[1-4]$")
 ENTITY_PATTERN = re.compile(r"^[A-Z0-9][A-Z0-9_.\-]*$")
@@ -310,12 +310,12 @@ def parse_flow_csv(source: str) -> FlowRecordSet:
     return _parse_flow_text(io.StringIO(source, newline=""))
 
 
-def read_utf8(path: str | Path, error: type[FlowspectraError]) -> str:
-    """The text of a UTF-8 file; other bytes raise `error` naming the file."""
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; other bytes raise ConfigError naming the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc})") from None
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _not_utf8(path: str | Path) -> DataError:
@@ -529,9 +529,11 @@ def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
 
 
 def convert_bis_file(csv_path: str | Path, mapping: BisMapping) -> BisConversion:
-    with open(csv_path, encoding="utf-8", newline="") as handle:
+    """Convert a raw UTF-8 extract, with or without a leading BOM, read by
+    bounded lines (`_bounded_lines`) as the flow CSV's csv path reads them."""
+    with open(csv_path, encoding="utf-8-sig", newline="") as handle:
         try:
-            return convert_bis_lbs(csv.DictReader(handle), mapping)
+            return convert_bis_lbs(csv.DictReader(_bounded_lines(handle)), mapping)
         except UnicodeDecodeError:
             raise _not_utf8(csv_path) from None
         except csv.Error as exc:

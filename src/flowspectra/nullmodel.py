@@ -29,17 +29,18 @@ SHUFFLE_MODES = (MODE_LINK_SHUFFLE, MODE_WEIGHT_PERMUTE)
 
 @dataclass(frozen=True)
 class NullEnsembleStats:
-    """Distribution summary of lambda_max over shuffled replicas."""
+    """Distribution summary of lambda_max over shuffled replicas, in the key
+    order of a `timeseries.json` entry's `null` block."""
 
+    mode: str
     n_samples: int
-    lambda_values: tuple[float, ...]
+    seed: int
     mean: float
     std: float
     q01: float
     q50: float
     q99: float
-    seed: int
-    mode: str
+    lambda_values: tuple[float, ...]
 
 
 def _replicas(snapshot: NetworkSnapshot, seed: int, mode: str, count: int,
@@ -73,10 +74,8 @@ def _replicas(snapshot: NetworkSnapshot, seed: int, mode: str, count: int,
     stack = np.zeros((count, n * n))
     replica = np.arange(count)[:, None]
     if mode == MODE_LINK_SHUFFLE:
-        # Slot row*(n-1) + rest is at flat index slot + row + (rest >= row).
-        slots = np.arange(n * (n - 1))
-        row, rest = divmod(slots, n - 1)
-        flat_of_slot = slots + row + (rest >= row)
+        # Slot s is the s-th off-diagonal flat index in row-major order.
+        flat_of_slot = np.arange(n * n)[~np.eye(n, dtype=bool).ravel()]
         stack[replica, flat_of_slot[draws]] = values
     else:
         stack[replica, positions] = values[draws]
@@ -141,13 +140,13 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
         std = float(np.ldexp(scaled.std(), exponent))
         q01, q50, q99 = (float(q) for q in np.quantile(ordered, [0.01, 0.50, 0.99]))
     return NullEnsembleStats(
+        mode=mode,
         n_samples=n_samples,
-        lambda_values=tuple(lambdas.tolist()),
+        seed=seed,
         mean=mean,
         std=std,
         q01=q01,
         q50=q50,
         q99=q99,
-        seed=seed,
-        mode=mode,
+        lambda_values=tuple(lambdas.tolist()),
     )

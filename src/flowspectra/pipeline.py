@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,24 +72,25 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PeriodResult:
-    """All per-quarter quantities for one period."""
+    """All per-quarter quantities for one period, in the key order of its
+    `timeseries.json` entry. `gap`, the information gap, is lambda_max minus
+    the shuffled-ensemble mean; it is computed, not passed."""
 
     period: str
     entities: tuple[str, ...]
     lambda_max: float
-    null_stats: NullEnsembleStats
     mean_ipr: float
     ipr_lambda_max: float
     total_volume: float
     density: float
+    gap: float = field(init=False)
     participation: tuple[float, ...]
     volume_share: tuple[float, ...]
     market_mode: tuple[float, ...]
+    null_stats: NullEnsembleStats
 
-    @property
-    def gap(self) -> float:
-        """Information gap: lambda_max minus the shuffled-ensemble mean."""
-        return self.lambda_max - self.null_stats.mean
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gap", self.lambda_max - self.null_stats.mean)
 
 
 @dataclass(frozen=True)
@@ -210,34 +211,20 @@ def run_timeseries(records: FlowRecordSet,
 # ---------------------------------------------------------------------------
 
 
+def _fields_json(obj, omit: str = "") -> dict:
+    """The dataclass `obj`'s fields in declaration order, but `omit`, with
+    tuples as arrays."""
+    return {f.name: list(value) if isinstance(value := getattr(obj, f.name), tuple) else value
+            for f in fields(obj) if f.name != omit}
+
+
 def period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
-    stats = result.null_stats
-    null = {
-        "mode": stats.mode,
-        "n_samples": stats.n_samples,
-        "seed": stats.seed,
-        "mean": stats.mean,
-        "std": stats.std,
-        "q01": stats.q01,
-        "q50": stats.q50,
-        "q99": stats.q99,
-    }
-    if include_lambda_values:
-        null["lambda_values"] = list(stats.lambda_values)
-    return {
-        "period": result.period,
-        "entities": list(result.entities),
-        "lambda_max": result.lambda_max,
-        "mean_ipr": result.mean_ipr,
-        "ipr_lambda_max": result.ipr_lambda_max,
-        "total_volume": result.total_volume,
-        "density": result.density,
-        "gap": result.gap,
-        "participation": list(result.participation),
-        "volume_share": list(result.volume_share),
-        "market_mode": list(result.market_mode),
-        "null": null,
-    }
+    """`result`'s fields in order, with `null_stats` as `null`, whose
+    `lambda_values` are written only when asked for."""
+    entry = _fields_json(result, omit="null_stats")
+    entry["null"] = _fields_json(result.null_stats,
+                                 omit="" if include_lambda_values else "lambda_values")
+    return entry
 
 
 def timeseries_to_json(result: TimeSeriesResult) -> dict:
@@ -270,18 +257,23 @@ def _participation_csv(result: TimeSeriesResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_text(payload: dict) -> str:
+    """The text of every JSON export: two-space indent and a final LF. NaN
+    or infinite values raise ValueError rather than being written as
+    non-JSON tokens."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def export(result: TimeSeriesResult, out_dir: str | Path) -> list[Path]:
     """Write plot-ready tables under `out_dir`; returns the written paths.
 
     timeseries.csv holds one summary row per period, participation.csv a
     tidy per-entity participation table, and timeseries.json the full
-    nested results. NaN or infinite values raise ValueError rather than
-    being written as non-JSON tokens.
+    nested results (`json_text`).
     """
     tables = (("timeseries.csv", _timeseries_csv(result)),
               ("participation.csv", _participation_csv(result)),
-              ("timeseries.json",
-               json.dumps(timeseries_to_json(result), indent=2, allow_nan=False) + "\n"))
+              ("timeseries.json", json_text(timeseries_to_json(result))))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in tables:

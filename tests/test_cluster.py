@@ -166,6 +166,10 @@ def test_dendrogram_json_payload():
     assert payload["leaf_order"] == [0, 1, 2]
     assert payload["ordered_entities"] == ["A", "B", "C"]
     assert payload["merges"][0] == {"left": 0, "right": 1, "height": 0.1, "id": 3}
+    # Dict equality ignores key order; the written order is pinned here.
+    assert list(payload) == ["n_leaves", "merges", "leaf_order", "entities",
+                             "ordered_entities"]
+    assert [list(merge) for merge in payload["merges"]] == [["left", "right", "height", "id"]] * 2
 
 
 def reference_agglomerate(distances, linkage="average"):

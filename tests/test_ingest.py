@@ -650,14 +650,16 @@ def test_non_utf8_byte_past_the_first_chunk_names_the_file_and_a_line(tmp_path):
     assert str(info.value) == f"{path}: line 900 is not UTF-8 text"
 
 
+def convert_flow_file(path):
+    """Read a flow CSV file as a raw extract whose columns map to themselves."""
+    return convert_bis_file(path, BisMapping(period="period", reporter="reporter",
+                                             counterparty="counterparty", value="amount"))
+
+
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("bad_byte_row", [5, 900])
-@pytest.mark.parametrize("read", [
-    parse_flow_file,
-    lambda path: convert_bis_file(path, BisMapping(period="period", reporter="reporter",
-                                                   counterparty="counterparty",
-                                                   value="amount")),
-], ids=["flow-csv", "extract"])
+@pytest.mark.parametrize("read", [parse_flow_file, convert_flow_file],
+                         ids=["flow-csv", "extract"])
 def test_both_readers_name_the_exact_non_utf8_line(tmp_path, read, bad_byte_row, newline):
     # Row 5 sits in the decoder's first 8 KiB chunk and row 900 well past it.
     path = tmp_path / "flows.csv"
@@ -701,21 +703,31 @@ def test_file_parse_memory_stays_near_the_columns_it_keeps(tmp_path):
     assert peak <= 3 * kept
 
 
-def test_an_over_long_line_is_rejected_before_it_is_read_whole(tmp_path):
-    """A 30 MB second line once peaked at 60 MB: the csv reader read it whole
-    before its field limit rejected it. Lines are now read with a bound of
-    the longest line a valid row can have."""
+def assert_over_long_line_is_rejected_before_it_is_read_whole(tmp_path, read):
     cap = 4 * (2 * csv.field_size_limit() + 2) + 5
     path = tmp_path / "flows.csv"
     path.write_text(f"{HEADER}\n2008-Q3,US,GB,{'9' * 30_000_000}\n2008-Q3,GB,US,1\n")
     tracemalloc.start()
     try:
         with pytest.raises(DataError, match=f"^row 2: line longer than {cap} characters$"):
-            parse_flow_file(path)
+            read(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000
+
+
+def test_an_over_long_line_is_rejected_before_it_is_read_whole(tmp_path):
+    """A 30 MB second line once peaked at 60 MB: the csv reader read it whole
+    before its field limit rejected it. Lines are now read with a bound of
+    the longest line a valid row can have."""
+    assert_over_long_line_is_rejected_before_it_is_read_whole(tmp_path, parse_flow_file)
+
+
+def test_an_over_long_extract_line_is_rejected_before_it_is_read_whole(tmp_path):
+    """The extract reader reads bounded lines too; it once peaked at 60 MB
+    and failed only as an unreadable extract."""
+    assert_over_long_line_is_rejected_before_it_is_read_whole(tmp_path, convert_flow_file)
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["cap", "cap-plus-1"])
@@ -772,3 +784,16 @@ def test_build_snapshot_sums_duplicates_bitwise_in_row_order():
                 expected[codes.index(reporter), codes.index(counterparty)] += amount
         weights = build_snapshot(records, period).weights
         assert weights.tobytes() == expected.tobytes()
+
+
+def test_extract_with_a_utf8_bom_converts_as_without_it(tmp_path):
+    """Excel's "CSV UTF-8" starts the file with a BOM, which once stuck to
+    the first column's name, so the mapping's column was reported absent."""
+    text = ("TIME_PERIOD,REP,CP,VAL,MEASURE\r\n2008-Q3,US,GB,5,S\r\n"
+            "2008-Q4,GB,US,2.5,S\r\n2008-Q4,GB,DE,1,N\r\n")
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    expected = convert_bis_file(plain, MAPPING)
+    assert expected.converted == 2 and expected.filtered == 1
+    assert convert_bis_file(bom, MAPPING) == expected

@@ -390,6 +390,32 @@ def test_stats_json_payload():
     assert full["lambda_values"] == list(stats.lambda_values)
 
 
+PERIOD_KEYS = ["period", "entities", "lambda_max", "mean_ipr", "ipr_lambda_max",
+               "total_volume", "density", "gap", "participation", "volume_share",
+               "market_mode", "null"]
+NULL_KEYS = ["mode", "n_samples", "seed", "mean", "std", "q01", "q50", "q99"]
+
+
+@pytest.mark.parametrize("include_values", [False, True])
+def test_timeseries_json_period_entry_keys_are_in_a_fixed_order(tmp_path, include_values):
+    """Dict equality ignores key order, so the written order is pinned here:
+    reordering a dataclass field moves a key and fails this test."""
+    config = PipelineConfig(seed=5, null_samples=3, include_lambda_values=include_values)
+    export(run_timeseries(parse_flow_csv(TWO_NODE), config), tmp_path)
+    entry = json.loads((tmp_path / "timeseries.json").read_text())["periods"][0]
+    assert list(entry) == PERIOD_KEYS
+    assert list(entry["null"]) == NULL_KEYS + ["lambda_values"] * include_values
+
+
+def test_period_result_gap_follows_replace():
+    result = analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", FAST)
+    assert result.gap == result.lambda_max - result.null_stats.mean
+    moved = dataclasses.replace(result, lambda_max=result.lambda_max + 1.0)
+    assert moved.gap == moved.lambda_max - moved.null_stats.mean
+    with pytest.raises(ValueError, match="gap"):
+        dataclasses.replace(result, gap=0.0)
+
+
 def test_export_refuses_non_finite_json(tmp_path):
     result = run_timeseries(parse_flow_csv(TWO_NODE), FAST)
     broken = dataclasses.replace(result.results[0], lambda_max=float("nan"))
