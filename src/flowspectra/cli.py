@@ -19,12 +19,14 @@ from pathlib import Path
 from .cluster import LINKAGES, agglomerate, dendrogram_to_json, distance_matrix, to_newick
 from .errors import ConfigError, ConvergenceError, DataError
 from .ingest import (
+    FlowRecordSet,
     convert_bis_file,
+    flow_csv_chunks,
     generate_synthetic_series,
     load_bis_mapping,
     parse_flow_file,
     read_utf8,
-    serialize_flow_csv,
+    write_flow_file,
 )
 from .network import VOLUME_MODES, build_snapshot, snapshot_to_flow_csv, symmetrize
 from .nullmodel import SHUFFLE_MODES, shuffle_snapshot
@@ -145,13 +147,28 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
+def _out_path(out_dir: str, filename: str) -> Path:
+    path = Path(out_dir) / filename
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
         return
-    path = Path(out_dir) / filename
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _out_path(out_dir, filename)
     path.write_text(text, encoding="utf-8", newline="\n")
+    print(path)
+
+
+def _emit_flows(records: FlowRecordSet, out_dir: str | None) -> None:
+    """Write flow CSV a chunk at a time, to stdout or to flows.csv in `out_dir`."""
+    if out_dir is None:
+        sys.stdout.writelines(flow_csv_chunks(records))
+        return
+    path = _out_path(out_dir, "flows.csv")
+    write_flow_file(records, path)
     print(path)
 
 
@@ -217,7 +234,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         link_prob_end=args.link_prob_end,
         start_period=args.start_period,
     )
-    _emit(serialize_flow_csv(records), args.out, "flows.csv")
+    _emit_flows(records, args.out)
     return 0
 
 
@@ -227,7 +244,7 @@ def _cmd_convert_bis(args: argparse.Namespace) -> int:
     logger.info("converted=%d filtered=%d dropped=%d reasons=%s",
                 conversion.converted, conversion.filtered, conversion.dropped,
                 dict(conversion.drop_reasons))
-    _emit(serialize_flow_csv(conversion.records), args.out, "flows.csv")
+    _emit_flows(conversion.records, args.out)
     return 0
 
 

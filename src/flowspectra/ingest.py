@@ -13,7 +13,7 @@ import json
 import math
 import re
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -444,6 +444,15 @@ def _normalize_bis_period(raw: str) -> str | None:
     return f"{match.group(1)}-Q{match.group(2)}"
 
 
+def _check_mapped_columns(columns: Container[str], mapping: BisMapping) -> None:
+    """Raise ConfigError naming each column the mapping reads that `columns` lacks."""
+    required = {mapping.period, mapping.reporter, mapping.counterparty, mapping.value,
+                *mapping.filters}
+    absent = sorted(col for col in required if col not in columns)
+    if absent:
+        raise ConfigError(f"mapping references absent column(s): {', '.join(absent)}")
+
+
 def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
                     mapping: BisMapping) -> BisConversion:
     """Convert tabular source rows to a FlowRecordSet using a column mapping.
@@ -453,9 +462,6 @@ def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
     periods, bad entity codes, or self-loops are dropped and counted by
     reason. Duplicate (period, reporter, counterparty) keys are summed.
     """
-    required = {mapping.period, mapping.reporter, mapping.counterparty, mapping.value}
-    required.update(mapping.filters)
-
     totals: dict[tuple[str, str, str], float] = {}  # in first-seen order
     filtered = 0
     reasons: dict[str, int] = {}
@@ -466,9 +472,7 @@ def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
     checked_columns = False
     for row in rows:
         if not checked_columns:
-            absent = sorted(col for col in required if col not in row)
-            if absent:
-                raise ConfigError(f"mapping references absent column(s): {', '.join(absent)}")
+            _check_mapped_columns(row, mapping)
             checked_columns = True
         if any(str(row.get(col, "")).strip() != want
                for col, want in mapping.filters.items()):
@@ -530,10 +534,15 @@ def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
 
 def convert_bis_file(csv_path: str | Path, mapping: BisMapping) -> BisConversion:
     """Convert a raw UTF-8 extract, with or without a leading BOM, read by
-    bounded lines (`_bounded_lines`) as the flow CSV's csv path reads them."""
+    bounded lines (`_bounded_lines`) as the flow CSV's csv path reads them.
+    The mapped columns are checked against the header, so an extract with
+    no data rows is checked too."""
     with open(csv_path, encoding="utf-8-sig", newline="") as handle:
         try:
-            return convert_bis_lbs(csv.DictReader(_bounded_lines(handle)), mapping)
+            reader = csv.DictReader(_bounded_lines(handle))
+            if reader.fieldnames is not None:  # None: the extract is empty
+                _check_mapped_columns(reader.fieldnames, mapping)
+            return convert_bis_lbs(reader, mapping)
         except UnicodeDecodeError:
             raise _not_utf8(csv_path) from None
         except csv.Error as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FlowspectraError
-from .ingest import FlowRecordSet, derive_seed, flow_csv_chunks
+from .ingest import FlowRecordSet, derive_seed
 from .network import (
     VOLUME_MODES,
     build_snapshot,
@@ -109,11 +109,16 @@ class TimeSeriesResult:
 
 
 def dataset_fingerprint(records: FlowRecordSet) -> str:
-    """Content hash (sha256) of the canonical CSV serialization, fed to the
-    hash a chunk at a time so the whole text is never built."""
-    digest = hashlib.sha256()
-    for chunk in flow_csv_chunks(records):
-        digest.update(chunk.encode("utf-8"))
+    """sha256 of the record set's labels and typed columns, not its CSV text:
+    equal sets agree, as -0.0 is hashed as 0.0 and no label holds an LF."""
+    digest = hashlib.sha256(b"flowspectra-records-v1\n")
+    for labels in (records.periods, records.entities):
+        digest.update(len(labels).to_bytes(8, "little"))
+        digest.update("".join(f"{label}\n" for label in labels).encode())
+    digest.update(len(records).to_bytes(8, "little"))
+    for column in (records.period_index, records.reporter_index, records.counterparty_index):
+        digest.update(np.ascontiguousarray(column, dtype="<i8"))
+    digest.update(np.ascontiguousarray(records.amounts + 0.0, dtype="<f8"))
     return digest.hexdigest()
 
 

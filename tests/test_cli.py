@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from flowspectra import ConvergenceError, build_snapshot, leading_eigenpair, parse_flow_file
+from flowspectra import (
+    ConvergenceError,
+    build_snapshot,
+    generate_synthetic_series,
+    leading_eigenpair,
+    parse_flow_file,
+    serialize_flow_csv,
+)
 from flowspectra.cli import main
 from flowspectra.spectral import MODE_SYMMETRIZED, SPECTRUM_MODES, symmetric_lambda_max
 
@@ -33,6 +40,29 @@ def test_synth_to_stdout(capsys):
                  "--n-periphery", "0", "--seed", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith(HEADER)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_synth_and_convert_bis_write_the_serialized_csv(tmp_path, capsys, to_file):
+    records = generate_synthetic_series(6, 60, 100.0, 1.0, n_periods=2, seed=3,
+                                        link_prob_start=0.5, start_period="2000-Q1")
+    expected = serialize_flow_csv(records).encode()
+    assert expected.count(b"\n") > 1 + 4096  # the rows span more than one chunk
+    (tmp_path / "raw.csv").write_bytes(expected)
+    (tmp_path / "mapping.json").write_text(json.dumps(
+        {"period": "period", "reporter": "reporter", "counterparty": "counterparty",
+         "value": "amount"}))
+    commands = {
+        "synth": ["synth", "--periods", "2", "--n-core", "6", "--n-periphery", "60",
+                  "--link-prob", "0.5", "--seed", "3"],
+        "convert": ["convert-bis", "--input", str(tmp_path / "raw.csv"),
+                    "--mapping", str(tmp_path / "mapping.json")],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)] if to_file else argv) == 0
+        printed = capsys.readouterr().out.encode()
+        assert ((out / "flows.csv").read_bytes() if to_file else printed) == expected
 
 
 def test_analyze_prints_period_json(flows_csv, capsys):
@@ -344,6 +374,17 @@ def _convert(tmp_path, raw: bytes, mapping: bytes = json.dumps(MAPPING).encode()
 def test_extract_that_is_not_utf8_is_a_data_error(tmp_path, caplog):
     assert _convert(tmp_path, b"P,R,C,V\n2008-Q3,US,G\xffB,5\n") == 1
     assert f"{tmp_path / 'raw.csv'}: line 2 is not UTF-8 text" in caplog.text
+
+
+def test_header_only_extract_is_checked_against_the_mapping(tmp_path, caplog):
+    mapping = json.dumps({"period": "TIME_PERIOD", "reporter": "REP",
+                          "counterparty": "CP", "value": "VAL"}).encode()
+    for raw in (b"A,B,C\n", b"A,B,C\n1,2,3\n"):
+        caplog.clear()
+        assert _convert(tmp_path, raw, mapping) == 3
+        assert "mapping references absent column(s): CP, REP, TIME_PERIOD, VAL" in caplog.text
+    assert _convert(tmp_path, b"P,R,C,V\n") == 1
+    assert "no rows survived filtering and conversion" in caplog.text
 
 
 def test_extract_field_over_the_size_limit_is_a_data_error(tmp_path):
