@@ -140,38 +140,39 @@ def agglomerate(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
     merges: list[Merge] = []
     last_height = -np.inf
 
-    for new_id in range(n, 2 * n - 1):
-        # Symmetric with ids increasing along the positions, so the row-major
-        # first minimum of the used rows is the smallest pair, a < b.
-        used = len(ids)
-        pa, pb = divmod(int(np.argmin(dist[:used])), len(dist))
-        a, b = ids[pa], ids[pb]
-        height = last_height = _merge_height(float(dist[pa, pb]), last_height)
-        if linkage == "average":
-            # An overflow gives inf, which the height check of a later merge rejects.
-            with np.errstate(over="ignore"):
+    # An overflow in an average gives inf, which the height check of a later
+    # merge rejects.
+    with np.errstate(over="ignore"):
+        for new_id in range(n, 2 * n - 1):
+            # Symmetric with ids increasing along the positions, so the row-major
+            # first minimum of the used rows is the smallest pair, a < b.
+            used = len(ids)
+            pa, pb = divmod(int(np.argmin(dist[:used])), len(dist))
+            a, b = ids[pa], ids[pb]
+            height = last_height = _merge_height(float(dist[pa, pb]), last_height)
+            if linkage == "average":
                 row = ((sizes[a] * dist[pa, :used] + sizes[b] * dist[pb, :used])
                        / (sizes[a] + sizes[b]))
-        elif linkage == "single":
-            row = np.minimum(dist[pa, :used], dist[pb, :used])
-        else:
-            row = np.maximum(dist[pa, :used], dist[pb, :used])
-        row[pa] = row[pb] = np.inf
-        dist[pa, :used] = dist[pb, :used] = dist[:used, pa] = dist[:used, pb] = np.inf
-        ids[pa] = ids[pb] = -1
-        if used == len(dist):
-            keep = np.flatnonzero(np.array(ids) >= 0)
-            dist, row = _compacted(dist, keep), row[keep]
-            ids = [ids[p] for p in keep]
-        dist[len(ids), :len(ids)] = dist[:len(ids), len(ids)] = row
-        ids.append(new_id)
+            elif linkage == "single":
+                row = np.minimum(dist[pa, :used], dist[pb, :used])
+            else:
+                row = np.maximum(dist[pa, :used], dist[pb, :used])
+            row[pa] = row[pb] = np.inf
+            dist[pa, :used] = dist[pb, :used] = dist[:used, pa] = dist[:used, pb] = np.inf
+            ids[pa] = ids[pb] = -1
+            if used == len(dist):
+                keep = np.flatnonzero(np.array(ids) >= 0)
+                dist, row = _compacted(dist, keep), row[keep]
+                ids = [ids[p] for p in keep]
+            dist[len(ids), :len(ids)] = dist[:len(ids), len(ids)] = row
+            ids.append(new_id)
 
-        # The child whose subtree holds the smaller leaf index goes left, so
-        # an in-order traversal keeps early entities early.
-        left, right = (a, b) if min_leaf[a] <= min_leaf[b] else (b, a)
-        merges.append(Merge(left=left, right=right, height=height, id=new_id))
-        sizes.append(sizes[a] + sizes[b])
-        min_leaf.append(min(min_leaf[a], min_leaf[b]))
+            # The child whose subtree holds the smaller leaf index goes left, so
+            # an in-order traversal keeps early entities early.
+            left, right = (a, b) if min_leaf[a] <= min_leaf[b] else (b, a)
+            merges.append(Merge(left=left, right=right, height=height, id=new_id))
+            sizes.append(sizes[a] + sizes[b])
+            min_leaf.append(min(min_leaf[a], min_leaf[b]))
 
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 

@@ -72,11 +72,11 @@ def build_snapshot(records: FlowRecordSet, period: str) -> NetworkSnapshot:
     if period not in records.periods:
         raise DataError(f"unknown period {period!r}")
     rows = records.period_index == records.periods.index(period)
-    weights = np.zeros((len(records.entities),) * 2)
-    # Unbuffered and in row order, so duplicates sum as a Python loop would.
-    with np.errstate(over="ignore"):
-        np.add.at(weights, (records.reporter_index[rows], records.counterparty_index[rows]),
-                  records.amounts[rows])
+    n = len(records.entities)
+    cells = records.reporter_index[rows] * n
+    cells += records.counterparty_index[rows]  # in place: one index array fewer at peak
+    # In row order from 0.0, so duplicates sum as a Python loop would.
+    weights = np.bincount(cells, weights=records.amounts[rows], minlength=n * n).reshape(n, n)
     for i, j in np.argwhere(np.isinf(weights))[:1]:
         raise DataError(f"{period}: duplicate {records.entities[i]} -> {records.entities[j]} "
                         "amounts sum past the float maximum")

@@ -487,6 +487,18 @@ def past_the_first_block(tail: str) -> bytes:
     return f"{HEADER}\n{rows}{tail}".encode()
 
 
+def in_the_first_block(tail: str) -> bytes:
+    """A flow file of one plain row, then `tail`, all inside the first block."""
+    return f"{HEADER}\n2008-Q3,JP,DE,1.5\n{tail}".encode()
+
+
+PLACES = {"early": in_the_first_block, "late": past_the_first_block}
+
+# Spellings that float() reads, or rejects, in ways another parser might not.
+AMOUNT_SPELLINGS = {"padded": " 1.5", "underscore": "1_000", "arabic-indic": "\u0661\u0662",
+                    "infinity": "infinity", "overflow": "1e400", "underflow": "1e-400",
+                    "negative-zero": "-0", "hex": "0x10"}
+
 BOTH_ENTRY_POINTS = [
     pytest.param(f"{HEADER}\n2008-Q3,US,GB,1\n2008-Q3,GB,US,2\n".encode(), id="lf"),
     pytest.param(f"{HEADER}\r\n2008-Q3,US,GB,1\r\n2008-Q3,GB,US,2\r\n".encode(), id="crlf"),
@@ -517,6 +529,13 @@ BOTH_ENTRY_POINTS = [
     pytest.param(past_the_first_block(f"2008-Q3,{'A' * 131_073},US,2\n"),
                  id="late-field-just-past-the-limit"),
     pytest.param(f"{HEADER}\n".encode(), id="header-only"),
+    # Joined, the two lines split into two valid rows ("1E3" is both an amount
+    # and an entity code), so only a check of each line's commas rejects them.
+    pytest.param(in_the_first_block("2008-Q3,GB,US\n1E3,2008-Q3,US,GB,3\n"),
+                 id="early-row-split-across-lines"),
+    *(pytest.param(place(f"2008-Q3,GB,US,{amount}\n2008-Q3,US,GB,{amount}\n"),
+                   id=f"{where}-amount-{name}")
+      for where, place in PLACES.items() for name, amount in AMOUNT_SPELLINGS.items()),
 ]
 
 
@@ -538,9 +557,19 @@ def parse_or_error(parse, source):
 def test_file_and_text_entry_points_agree(tmp_path, data):
     path = tmp_path / "flows.csv"
     path.write_bytes(data)
-    from_file = parse_or_error(parse_flow_file, path)
     text = data.decode("utf-8")
-    assert from_file == parse_or_error(parse_flow_csv, text) == csv_reference(text)
+    results = [parse_or_error(parse_flow_file, path), parse_or_error(parse_flow_csv, text),
+               csv_reference(text)]
+    assert results[0] == results[1] == results[2]
+    if isinstance(results[0], FlowRecordSet):  # bitwise, so -0.0 keeps its sign
+        assert len({result.amounts.tobytes() for result in results}) == 1
+
+
+@pytest.mark.parametrize("place", PLACES.values(), ids=PLACES.keys())
+def test_a_lone_surrogate_in_a_code_is_read_as_the_csv_reader_reads_it(place):
+    text = place("").decode("utf-8") + "2008-Q3,G\udc80B,US,2\n"
+    assert parse_or_error(parse_flow_csv, text) == csv_reference(text)
+    assert "malformed reporter entity code" in csv_reference(text)
 
 
 @st.composite
