@@ -14,19 +14,19 @@ import argparse
 import json
 import logging
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .cluster import LINKAGES, agglomerate, dendrogram_to_json, distance_matrix, to_newick
 from .errors import ConfigError, ConvergenceError, DataError
 from .ingest import (
-    FlowRecordSet,
     convert_bis_file,
     flow_csv_chunks,
     generate_synthetic_series,
     load_bis_mapping,
     parse_flow_file,
     read_utf8,
-    write_flow_file,
+    write_text,
 )
 from .network import VOLUME_MODES, build_snapshot, snapshot_to_flow_csv, symmetrize
 from .nullmodel import SHUFFLE_MODES, shuffle_snapshot
@@ -133,12 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
-        values = json.loads(read_utf8(args.config))
+        try:
+            values = json.loads(read_utf8(args.config))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.config}: bad JSON config: {exc}") from None
         if not isinstance(values, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"{args.config}: config file must hold a JSON object")
         unknown = set(values) - set(PipelineConfig.__dataclass_fields__)
         if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+            raise ConfigError(f"{args.config}: unknown config key(s): "
+                              f"{', '.join(sorted(unknown))}")
     # Flags > config file > defaults. Each config key's flag has the key as its
     # dest; a flag not given, or one the subcommand lacks, leaves the key be.
     for key in PipelineConfig.__dataclass_fields__:
@@ -147,28 +151,14 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
-def _out_path(out_dir: str, filename: str) -> Path:
+def _emit(chunks: Iterable[str], out_dir: str | None, filename: str) -> None:
+    """Write `chunks` to stdout, or to `filename` under `out_dir` and print its path."""
+    if out_dir is None:
+        sys.stdout.writelines(chunks)
+        return
     path = Path(out_dir) / filename
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _emit(text: str, out_dir: str | None, filename: str) -> None:
-    if out_dir is None:
-        sys.stdout.write(text)
-        return
-    path = _out_path(out_dir, filename)
-    path.write_text(text, encoding="utf-8", newline="\n")
-    print(path)
-
-
-def _emit_flows(records: FlowRecordSet, out_dir: str | None) -> None:
-    """Write flow CSV a chunk at a time, to stdout or to flows.csv in `out_dir`."""
-    if out_dir is None:
-        sys.stdout.writelines(flow_csv_chunks(records))
-        return
-    path = _out_path(out_dir, "flows.csv")
-    write_flow_file(records, path)
+    write_text(path, chunks)
     print(path)
 
 
@@ -176,7 +166,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args)
     records = parse_flow_file(args.input)
     result = analyze_period(records, args.period, config)
-    _emit(json_text(period_to_json(result, config.include_lambda_values)), args.out,
+    _emit((json_text(period_to_json(result, config.include_lambda_values)),), args.out,
           f"period_{args.period}.json")
     return 0
 
@@ -199,7 +189,7 @@ def _cmd_shuffle(args: argparse.Namespace) -> int:
     snapshot = build_snapshot(records, args.period)
     surrogate = shuffle_snapshot(snapshot, null_seed(records, args.period, config.seed),
                                  config.null_mode, args.replica)
-    _emit(snapshot_to_flow_csv(surrogate), args.out, f"shuffle_{args.period}.csv")
+    _emit((snapshot_to_flow_csv(surrogate),), args.out, f"shuffle_{args.period}.csv")
     return 0
 
 
@@ -217,7 +207,7 @@ def _cmd_dendrogram(args: argparse.Namespace) -> int:
         payload["linkage"] = args.linkage
         text = json_text(payload)
         suffix = "json"
-    _emit(text, args.out, f"dendrogram_{args.period}.{suffix}")
+    _emit((text,), args.out, f"dendrogram_{args.period}.{suffix}")
     return 0
 
 
@@ -234,17 +224,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         link_prob_end=args.link_prob_end,
         start_period=args.start_period,
     )
-    _emit_flows(records, args.out)
+    _emit(flow_csv_chunks(records), args.out, "flows.csv")
     return 0
 
 
 def _cmd_convert_bis(args: argparse.Namespace) -> int:
-    mapping = load_bis_mapping(read_utf8(args.mapping))
+    text = read_utf8(args.mapping)
+    try:
+        mapping = load_bis_mapping(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.mapping}: {exc}") from None
     conversion = convert_bis_file(args.input, mapping)
     logger.info("converted=%d filtered=%d dropped=%d reasons=%s",
                 conversion.converted, conversion.filtered, conversion.dropped,
                 dict(conversion.drop_reasons))
-    _emit_flows(conversion.records, args.out)
+    _emit(flow_csv_chunks(conversion.records), args.out, "flows.csv")
     return 0
 
 
@@ -271,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         logger.error("numerical non-convergence: %s", exc)
         return 2
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         logger.error("config/IO error: %s", exc)
         return 3
 

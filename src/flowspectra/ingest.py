@@ -118,7 +118,7 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
                 p, r, c = period_at[row[0]], entity_at[row[1]], entity_at[row[2]]
                 amount = float(row[3])
                 seen = r != c and 0 <= amount < math.inf
-            except (KeyError, TypeError, ValueError):  # a new spelling, or a failure
+            except (KeyError, TypeError, ValueError, OverflowError):  # new spelling, or failure
                 seen = False
             if not seen:
                 period = _period_code(row[0])
@@ -129,6 +129,9 @@ def _validate(numbered_rows: Iterable[tuple[int, Sequence]]) -> FlowRecordSet:
                 except ValueError:
                     raise DataError(f"row {row_no}: negative or non-numeric amount "
                                     f"{row[3].strip()!r}") from None
+                except OverflowError as exc:  # an int, say, beyond the float range
+                    raise DataError(f"row {row_no}: negative or non-numeric amount "
+                                    f"({exc})") from None
                 p = _intern(period_ids, period, PERIOD_PATTERN)
                 if p is None:
                     raise DataError(f"row {row_no}: malformed period label {period!r} "
@@ -372,9 +375,15 @@ def serialize_flow_csv(records: FlowRecordSet) -> str:
     return "".join(flow_csv_chunks(records))
 
 
-def write_flow_file(records: FlowRecordSet, path: str | Path) -> None:
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `path` in order as UTF-8 with LF line ends: the one
+    function that writes output files."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(flow_csv_chunks(records))
+        handle.writelines(chunks)
+
+
+def write_flow_file(records: FlowRecordSet, path: str | Path) -> None:
+    write_text(path, flow_csv_chunks(records))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FlowspectraError
-from .ingest import FlowRecordSet, derive_seed
+from .ingest import FlowRecordSet, derive_seed, write_text
 from .network import (
     VOLUME_MODES,
     build_snapshot,
@@ -282,5 +282,5 @@ def export(result: TimeSeriesResult, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in tables:
-        (out / name).write_text(text, encoding="utf-8", newline="\n")
+        write_text(out / name, (text,))
     return [out / name for name, _ in tables]

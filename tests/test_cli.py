@@ -65,6 +65,25 @@ def test_synth_and_convert_bis_write_the_serialized_csv(tmp_path, capsys, to_fil
         assert ((out / "flows.csv").read_bytes() if to_file else printed) == expected
 
 
+@pytest.mark.parametrize("argv, filename", [
+    (["analyze", "--null-samples", "5", "--seed", "2"], "period_2008-Q4.json"),
+    (["shuffle", "--replica", "3", "--seed", "2"], "shuffle_2008-Q4.csv"),
+    (["dendrogram"], "dendrogram_2008-Q4.json"),
+    (["dendrogram", "--format", "newick"], "dendrogram_2008-Q4.newick"),
+], ids=["analyze", "shuffle", "dendrogram-json", "dendrogram-newick"])
+def test_stdout_and_out_get_the_same_bytes(tmp_path, capsys, argv, filename):
+    assert main(["synth", "--periods", "2", "--n-core", "3", "--n-periphery", "6",
+                 "--link-prob", "0.3", "--start-period", "2008-Q3", "--seed", "9",
+                 "--out", str(tmp_path)]) == 0
+    run = [*argv, "--input", str(tmp_path / "flows.csv"), "--period", "2008-Q4"]
+    capsys.readouterr()
+    assert main(run) == 0
+    printed = capsys.readouterr().out.encode()
+    assert main([*run, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == f"{tmp_path / 'out' / filename}\n"
+    assert (tmp_path / "out" / filename).read_bytes() == printed
+
+
 def test_analyze_prints_period_json(flows_csv, capsys):
     code = main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
                  "--null-samples", "4", "--seed", "3"])
@@ -408,3 +427,25 @@ def test_config_file_that_is_not_utf8_is_a_config_error(flows_csv, tmp_path):
     config.write_bytes(b'{"null_mode": "link-shuffl\xe9"}')
     assert main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
                  "--config", str(config)]) == 3
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--config", '{"seed": 1, }', "bad JSON config: Expecting property name enclosed in "
+                                  "double quotes: line 1 column 13 (char 12)"),
+    ("--config", '[{"seed": 1}]', "config file must hold a JSON object"),
+    ("--mapping", '{"period": "P",', "bad JSON mapping: Expecting property name enclosed "
+                                     "in double quotes: line 1 column 16 (char 15)"),
+    ("--mapping", '["P", "R", "C", "V"]', "mapping must be a JSON object"),
+], ids=["config-syntax", "config-not-object", "mapping-syntax", "mapping-not-object"])
+def test_json_input_errors_name_their_file(flows_csv, tmp_path, caplog, flag, text, message):
+    source = tmp_path / "input.json"
+    source.write_text(text)
+    if flag == "--config":
+        code = main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
+                     "--config", str(source)])
+    else:
+        (tmp_path / "raw.csv").write_text("P,R,C,V\n2008-Q3,US,GB,5\n")
+        code = main(["convert-bis", "--input", str(tmp_path / "raw.csv"),
+                     "--mapping", str(source)])
+    assert code == 3
+    assert caplog.messages[-1] == f"config/IO error: {source}: {message}"

@@ -42,32 +42,53 @@ def test_an_unused_import_is_caught():
     assert unused_imports(source) == ["line 1: field", "line 2: Any"]
 
 
-def json_dumps_callers(source: str) -> list[str]:
-    """The name of the function around each `json.dumps` call in `source`
-    ("<module>" outside any function)."""
-    callers = []
+def callers(source: str, matches) -> list[str]:
+    """The name of the function around each call in `source` for which
+    `matches(call)` holds ("<module>" outside any function)."""
+    found = []
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "dumps"
-                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"):
-                callers.append(owner)
+            if isinstance(child, ast.Call) and matches(child):
+                found.append(owner)
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
-    return callers
+    return found
+
+
+def is_json_dumps(call: ast.Call) -> bool:
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "dumps"
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "json")
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """A `write_text` or `write_bytes` method call, as on a Path, or an
+    `open` call (the builtin or a method such as `Path.open`) whose mode
+    holds w, a, x or +, or is not a literal string."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return isinstance(func, ast.Attribute)
+    # The mode is the builtin's second argument and Path.open's first.
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    if name != "open" or not modes:
+        return False
+    if isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str):
+        return bool(set(modes[0].value) & set("wax+"))
+    return True  # a mode chosen at run time may write
 
 
 def test_json_text_is_the_only_json_writer():
     """Every JSON export shares one text format, so only `pipeline.json_text`
     calls `json.dumps`."""
-    callers = {path.name: json_dumps_callers(path.read_text(encoding="utf-8"))
-               for path in MODULES}
-    assert {name: found for name, found in callers.items() if found} == {
+    found = {path.name: callers(path.read_text(encoding="utf-8"), is_json_dumps)
+             for path in MODULES}
+    assert {name: owners for name, owners in found.items() if owners} == {
         "pipeline.py": ["json_text"]}
 
 
@@ -75,4 +96,22 @@ def test_a_json_dumps_call_is_found():
     source = ("import json\nTEXT = json.dumps({})\n"
               "def f(x):\n    return [json.dumps(x)]\n"
               "def g(x):\n    return json.loads(x)\n")
-    assert json_dumps_callers(source) == ["<module>", "f"]
+    assert callers(source, is_json_dumps) == ["<module>", "f"]
+
+
+def test_write_text_is_the_only_file_writer():
+    """Every output file is UTF-8 with LF line ends, so only
+    `ingest.write_text` opens a file for writing."""
+    found = {path.name: callers(path.read_text(encoding="utf-8"), writes_a_file)
+             for path in MODULES}
+    assert {name: owners for name, owners in found.items() if owners} == {
+        "ingest.py": ["write_text"]}
+
+
+def test_a_file_writing_call_is_found():
+    source = ("from pathlib import Path\nLOG = open('log', 'a')\n"
+              "def f(p, mode):\n    Path(p).write_text('x')\n    return open(p, mode=mode)\n"
+              "def g(p):\n    p.write_bytes(b'')\n    return p.open('x'), open(p, 'r+b')\n"
+              "def readers(p):\n    return (open(p), open(p, 'rb'), open(p, mode='r'),\n"
+              "            p.open(), p.open('r'), p.read_text(), write_text(p, []))\n")
+    assert callers(source, writes_a_file) == ["<module>", "f", "f", "g", "g", "g"]

@@ -107,11 +107,14 @@ def test_two_spellings_of_one_code_share_one_index():
     (("2008-Q3", " us", "US ", 1.0), "reporter equals counterparty ('US')"),
     (("2008-Q3", " us", "GB", -1.0), "negative or non-numeric amount -1.0"),
     (("2008-Q3", " us", "GB", " x "), "negative or non-numeric amount 'x'"),
+    (("2008-Q3", " us", "GB", 10**400), "negative or non-numeric amount (int too large "
+                                        "to convert to float)"),
     (("2008-Q3", " us", "GB", None), "field of the wrong type (float() argument must be "
                                      "a string or a real number, not 'NoneType')"),
     (("2008-Q3", " us", ["GB"], 1.0), "field of the wrong type ('list' object has no "
                                       "attribute 'strip')"),
-], ids=["bad-code", "self-loop", "negative", "non-numeric", "none-amount", "list-code"])
+], ids=["bad-code", "self-loop", "negative", "non-numeric", "int-past-float-range",
+        "none-amount", "list-code"])
 def test_row_after_known_spellings_fails_at_its_first_row(bad_row, message):
     with pytest.raises(DataError) as info:
         FlowRecordSet.from_rows(SPELLED_TWICE + [bad_row, bad_row])
