@@ -15,6 +15,7 @@ import json
 import logging
 import sys
 from collections.abc import Iterable
+from dataclasses import replace
 from pathlib import Path
 
 from .cluster import LINKAGES, agglomerate, dendrogram_to_json, distance_matrix, to_newick
@@ -72,8 +73,6 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
                      help="matrix used for lambda_max and the market mode")
     sub.add_argument("--volume-mode", choices=VOLUME_MODES, default=None,
                      help="volume share counts lending, borrowing, or both")
-    sub.add_argument("--include-lambda-values", action="store_true", default=None,
-                     help="include raw null lambda values in JSON exports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    values = {}
+    config = PipelineConfig()
     if getattr(args, "config", None):
         try:
             values = json.loads(read_utf8(args.config))
@@ -143,12 +142,15 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         if unknown:
             raise ConfigError(f"{args.config}: unknown config key(s): "
                               f"{', '.join(sorted(unknown))}")
+        try:
+            config = PipelineConfig(**values)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
     # Flags > config file > defaults. Each config key's flag has the key as its
     # dest; a flag not given, or one the subcommand lacks, leaves the key be.
-    for key in PipelineConfig.__dataclass_fields__:
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    return PipelineConfig(**values)
+    flags = {key: getattr(args, key) for key in PipelineConfig.__dataclass_fields__
+             if getattr(args, key, None) is not None}
+    return replace(config, **flags)
 
 
 def _emit(chunks: Iterable[str], out_dir: str | None, filename: str) -> None:
@@ -166,8 +168,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args)
     records = parse_flow_file(args.input)
     result = analyze_period(records, args.period, config)
-    _emit((json_text(period_to_json(result, config.include_lambda_values)),), args.out,
-          f"period_{args.period}.json")
+    _emit((json_text(period_to_json(result)),), args.out, f"period_{args.period}.json")
     return 0
 
 

@@ -456,13 +456,15 @@ def _normalize_bis_period(raw: str) -> str | None:
     return f"{match.group(1)}-Q{match.group(2)}"
 
 
-def _check_mapped_columns(columns: Container[str], mapping: BisMapping) -> None:
-    """Raise ConfigError naming each column the mapping reads that `columns` lacks."""
+def _check_mapped_columns(columns: Container[str], mapping: BisMapping,
+                          prefix: str = "") -> None:
+    """Raise ConfigError, its message led by `prefix`, naming each column the
+    mapping reads that `columns` lacks."""
     required = {mapping.period, mapping.reporter, mapping.counterparty, mapping.value,
                 *mapping.filters}
     absent = sorted(col for col in required if col not in columns)
     if absent:
-        raise ConfigError(f"mapping references absent column(s): {', '.join(absent)}")
+        raise ConfigError(f"{prefix}mapping references absent column(s): {', '.join(absent)}")
 
 
 def convert_bis_lbs(rows: Iterable[Mapping[str, object]],
@@ -553,7 +555,7 @@ def convert_bis_file(csv_path: str | Path, mapping: BisMapping) -> BisConversion
         try:
             reader = csv.DictReader(_bounded_lines(handle))
             if reader.fieldnames is not None:  # None: the extract is empty
-                _check_mapped_columns(reader.fieldnames, mapping)
+                _check_mapped_columns(reader.fieldnames, mapping, f"{csv_path}: ")
             return convert_bis_lbs(reader, mapping)
         except UnicodeDecodeError:
             raise _not_utf8(csv_path) from None

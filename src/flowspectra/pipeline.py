@@ -48,16 +48,12 @@ class PipelineConfig:
     null_mode: str = MODE_LINK_SHUFFLE
     spectrum_mode: str = MODE_DIRECTED
     volume_mode: str = "both"
-    include_lambda_values: bool = False
 
     def __post_init__(self) -> None:
         for key in ("seed", "null_samples"):
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if not isinstance(self.include_lambda_values, bool):
-            raise ConfigError("include_lambda_values must be true or false, "
-                              f"got {self.include_lambda_values!r}")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.null_samples < 1:
@@ -223,23 +219,20 @@ def _fields_json(obj, omit: str = "") -> dict:
             for f in fields(obj) if f.name != omit}
 
 
-def period_to_json(result: PeriodResult, include_lambda_values: bool) -> dict:
-    """`result`'s fields in order, with `null_stats` as `null`, whose
-    `lambda_values` are written only when asked for."""
+def period_to_json(result: PeriodResult) -> dict:
+    """`result`'s fields in order, with `null_stats` as `null`."""
     entry = _fields_json(result, omit="null_stats")
-    entry["null"] = _fields_json(result.null_stats,
-                                 omit="" if include_lambda_values else "lambda_values")
+    entry["null"] = _fields_json(result.null_stats)
     return entry
 
 
 def timeseries_to_json(result: TimeSeriesResult) -> dict:
-    include_values = result.config.include_lambda_values
     return {
         "fingerprint": result.fingerprint,
         "config": asdict(result.config),
         "skipped": list(result.skipped),
         "failures": [[period, message] for period, message in result.failures],
-        "periods": [period_to_json(r, include_values) for r in result.results],
+        "periods": [period_to_json(r) for r in result.results],
     }
 
 

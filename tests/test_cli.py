@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -5,13 +7,14 @@ import pytest
 
 from flowspectra import (
     ConvergenceError,
+    PipelineConfig,
     build_snapshot,
     generate_synthetic_series,
     leading_eigenpair,
     parse_flow_file,
     serialize_flow_csv,
 )
-from flowspectra.cli import main
+from flowspectra.cli import build_parser, main
 from flowspectra.spectral import MODE_SYMMETRIZED, SPECTRUM_MODES, symmetric_lambda_max
 
 HEADER = "period,reporter,counterparty,amount"
@@ -117,6 +120,18 @@ def test_flags_a_command_ignores_are_rejected(flows_csv):
                  "--workers", "1"]) == 3
 
 
+@pytest.mark.parametrize("command", ["analyze", "timeseries"])
+def test_analysis_flags_are_exactly_the_config_fields(command):
+    """`_build_config` reads each config key from the flag whose dest is the
+    key, so a field added without its flag, or a flag without its field,
+    fails here."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in commands.choices[command]._actions}
+    not_config = {"help", "input", "out", "config", "period", "workers"}
+    assert dests - not_config == {field.name for field in dataclasses.fields(PipelineConfig)}
+
+
 def test_synth_and_shuffle_reject_flags_they_ignore(flows_csv):
     assert main(["synth", "--periods", "1", "--null-samples", "5"]) == 3
     assert main(["synth", "--periods", "1", "--null-mode", "weight-permute"]) == 3
@@ -171,6 +186,7 @@ def test_removed_timeseries_flags_are_rejected(flows_csv, tmp_path):
             "--out", str(tmp_path / "run")]
     assert main(base + ["--normalize-lambda"]) == 3
     assert main(base + ["--format", "json"]) == 3
+    assert main(base + ["--include-lambda-values"]) == 3
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"normalize_lambda": True}))
     assert main(base + ["--config", str(config)]) == 3
@@ -213,7 +229,7 @@ def test_shuffle_replica_is_the_replica_the_null_solved(tmp_path, spectrum_mode)
                  "--link-prob", "0.3", "--seed", "9", "--out", str(tmp_path)]) == 0
     run = ["--input", str(tmp_path / "flows.csv"), "--seed", "5"]
     assert main(["timeseries", *run, "--null-samples", "10", "--spectrum-mode", spectrum_mode,
-                 "--include-lambda-values", "--out", str(tmp_path / "all")]) == 0
+                 "--out", str(tmp_path / "all")]) == 0
     entry = json.loads((tmp_path / "all" / "timeseries.json").read_text())["periods"][1]
     for replica in (0, 7):
         assert main(["shuffle", *run, "--period", entry["period"],
@@ -325,18 +341,28 @@ def test_config_precedence_cli_over_file_over_defaults(flows_csv, tmp_path):
     {"seed": 1.5},
     {"seed": True},
     {"null_samples": True},
-    {"include_lambda_values": "no"},
+    {"include_lambda_values": "no"},  # a removed key: unknown, whatever its value
     {"include_lambda_values": 1},
     [{"seed": 1}],
     "seed",
 ])
-def test_config_file_values_of_the_wrong_type_are_config_errors(flows_csv, tmp_path, values):
+def test_config_file_values_of_the_wrong_type_are_config_errors(flows_csv, tmp_path, caplog,
+                                                                values):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
     out = tmp_path / "run"
     assert main(["timeseries", "--input", str(flows_csv), "--config", str(config),
                  "--out", str(out)]) == 3
     assert not out.exists()
+    assert caplog.messages[-1].startswith(f"config/IO error: {config}: ")
+
+
+def test_a_bad_flag_value_is_not_blamed_on_the_config_file(flows_csv, tmp_path, caplog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"null_samples": 5}))
+    assert main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
+                 "--config", str(config), "--null-samples", "0"]) == 3
+    assert caplog.messages[-1] == "config/IO error: null_samples must be at least 1"
 
 
 def test_convergence_error_maps_to_exit_2(flows_csv, monkeypatch):
@@ -401,7 +427,8 @@ def test_header_only_extract_is_checked_against_the_mapping(tmp_path, caplog):
     for raw in (b"A,B,C\n", b"A,B,C\n1,2,3\n"):
         caplog.clear()
         assert _convert(tmp_path, raw, mapping) == 3
-        assert "mapping references absent column(s): CP, REP, TIME_PERIOD, VAL" in caplog.text
+        assert caplog.messages[-1] == (f"config/IO error: {tmp_path / 'raw.csv'}: mapping "
+                                       "references absent column(s): CP, REP, TIME_PERIOD, VAL")
     assert _convert(tmp_path, b"P,R,C,V\n") == 1
     assert "no rows survived filtering and conversion" in caplog.text
 

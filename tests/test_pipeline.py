@@ -317,8 +317,7 @@ def test_config_is_frozen_and_carried_by_the_result():
     assert result.config is config
     assert timeseries_to_json(result)["config"] == {
         "seed": 5, "null_samples": 5, "null_mode": "link-shuffle",
-        "spectrum_mode": "directed-perron", "volume_mode": "both",
-        "include_lambda_values": False}
+        "spectrum_mode": "directed-perron", "volume_mode": "both"}
 
 
 # --- exports -------------------------------------------------------------------
@@ -350,7 +349,7 @@ def test_export_participation_sums_to_100_per_period(tmp_path):
 
 
 def test_export_json_holds_every_result_field(tmp_path):
-    config = PipelineConfig(seed=8, null_samples=4, include_lambda_values=True)
+    config = PipelineConfig(seed=8, null_samples=4)
     records = generate_synthetic_series(2, 3, 10.0, 1.0, n_periods=2, seed=4,
                                         link_prob_start=0.5)
     result = run_timeseries(records, config)
@@ -376,34 +375,31 @@ def test_stats_json_payload():
     result = analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3",
                             PipelineConfig(seed=2, null_samples=3))
     stats = result.null_stats
-    payload = period_to_json(result, include_lambda_values=False)["null"]
+    payload = period_to_json(result)["null"]
     assert list(payload) == ["mode", "n_samples", "seed", "mean", "std",
-                             "q01", "q50", "q99"]
-    assert "lambda_values" not in payload
+                             "q01", "q50", "q99", "lambda_values"]
     assert payload["mode"] == MODE_LINK_SHUFFLE
     assert [payload[key] for key in payload] == [
         stats.mode, stats.n_samples, stats.seed, stats.mean, stats.std,
-        stats.q01, stats.q50, stats.q99]
-    full = period_to_json(result, include_lambda_values=True)["null"]
-    assert list(full) == [*payload, "lambda_values"]
-    assert full["lambda_values"] == list(stats.lambda_values)
+        stats.q01, stats.q50, stats.q99, list(stats.lambda_values)]
+    assert len(payload["lambda_values"]) == 3
 
 
 PERIOD_KEYS = ["period", "entities", "lambda_max", "mean_ipr", "ipr_lambda_max",
                "total_volume", "density", "gap", "participation", "volume_share",
                "market_mode", "null"]
-NULL_KEYS = ["mode", "n_samples", "seed", "mean", "std", "q01", "q50", "q99"]
+NULL_KEYS = ["mode", "n_samples", "seed", "mean", "std", "q01", "q50", "q99",
+             "lambda_values"]
 
 
-@pytest.mark.parametrize("include_values", [False, True])
-def test_timeseries_json_period_entry_keys_are_in_a_fixed_order(tmp_path, include_values):
+def test_timeseries_json_period_entry_keys_are_in_a_fixed_order(tmp_path):
     """Dict equality ignores key order, so the written order is pinned here:
     reordering a dataclass field moves a key and fails this test."""
-    config = PipelineConfig(seed=5, null_samples=3, include_lambda_values=include_values)
-    export(run_timeseries(parse_flow_csv(TWO_NODE), config), tmp_path)
+    export(run_timeseries(parse_flow_csv(TWO_NODE), PipelineConfig(seed=5, null_samples=3)),
+           tmp_path)
     entry = json.loads((tmp_path / "timeseries.json").read_text())["periods"][0]
     assert list(entry) == PERIOD_KEYS
-    assert list(entry["null"]) == NULL_KEYS + ["lambda_values"] * include_values
+    assert list(entry["null"]) == NULL_KEYS
 
 
 def test_period_result_gap_follows_replace():
