@@ -29,7 +29,8 @@ from flowspectra import (
 )
 from flowspectra.cli import main
 from flowspectra.nullmodel import NullEnsembleStats
-from flowspectra.pipeline import PeriodResult, dataset_fingerprint, period_to_json
+from flowspectra.pipeline import (PeriodResult, dataset_fingerprint, json_text,
+                                  period_to_json)
 
 HEADER = "period,reporter,counterparty,amount"
 TWO_NODE = f"{HEADER}\n2008-Q3,A,B,3\n2008-Q3,B,A,5"
@@ -392,12 +393,18 @@ NULL_KEYS = ["mode", "n_samples", "seed", "mean", "std", "q01", "q50", "q99",
              "lambda_values"]
 
 
-def test_timeseries_json_period_entry_keys_are_in_a_fixed_order(tmp_path):
+@pytest.mark.parametrize("exported", [False, True])
+def test_timeseries_json_period_entry_keys_are_in_a_fixed_order(tmp_path, exported):
     """Dict equality ignores key order, so the written order is pinned here:
-    reordering a dataclass field moves a key and fails this test."""
-    export(run_timeseries(parse_flow_csv(TWO_NODE), PipelineConfig(seed=5, null_samples=3)),
-           tmp_path)
-    entry = json.loads((tmp_path / "timeseries.json").read_text())["periods"][0]
+    reordering a dataclass field moves a key and fails this test. The order
+    is checked in a `timeseries.json` entry (exported) and in the text that
+    `analyze` writes for one quarter (not exported)."""
+    result = run_timeseries(parse_flow_csv(TWO_NODE), PipelineConfig(seed=5, null_samples=3))
+    if exported:
+        export(result, tmp_path)
+        entry = json.loads((tmp_path / "timeseries.json").read_text())["periods"][0]
+    else:
+        entry = json.loads(json_text(period_to_json(result.results[0])))
     assert list(entry) == PERIOD_KEYS
     assert list(entry["null"]) == NULL_KEYS
 
