@@ -43,14 +43,16 @@ class NullEnsembleStats:
     lambda_values: tuple[float, ...]
 
 
-def _replicas(snapshot: NetworkSnapshot, seed: int, mode: str, count: int,
-              first: int = 0) -> np.ndarray:
-    """Replicas first .. first+count-1 of the stream `default_rng(seed)` (see
-    `shuffle_snapshot`), as a C-contiguous (count, N, N) float64 stack.
+#: The null writes and solves its replicas in one reused buffer of
+#: min(R, max(1, _CHUNK_BYTES // (8 N^2))) matrices. At N = 31, 100 replicas
+#: stay one chunk: 256 and 512 KiB budgets split it and slowed the null.
+_CHUNK_BYTES = 1 << 20
 
-    Replica k is the k-th draw from the one generator, so the replicas
-    before `first` are drawn and discarded (negative slots), never stored.
-    """
+
+def _replica_writer(snapshot: NetworkSnapshot, seed: int, mode: str):
+    """`write(row)`, which writes the next replica of the stream
+    `default_rng(seed)` (see `shuffle_snapshot`) as it is drawn into `row`,
+    a zeroed flat float64 N*N array. The edges are looked up once."""
     if mode not in SHUFFLE_MODES:
         raise DataError(f"unknown shuffle mode {mode!r} (expected one of {SHUFFLE_MODES})")
     if seed < 0:
@@ -62,24 +64,17 @@ def _replicas(snapshot: NetworkSnapshot, seed: int, mode: str, count: int,
         raise DataError(f"{snapshot.period}: snapshot has no edges to shuffle")
     values = snapshot.weights.flat[positions]
     rng = np.random.default_rng(seed)
-    draws = np.empty((count, n_edges), dtype=np.intp)
-    for k in range(-first, count):
-        if mode == MODE_LINK_SHUFFLE:
-            # Distinct slots in the n(n-1) off-diagonal index space, no rejection loop.
-            draw = rng.choice(n * (n - 1), size=n_edges, replace=False)
-        else:
-            draw = rng.permutation(n_edges)
-        if k >= 0:
-            draws[k] = draw
-    stack = np.zeros((count, n * n))
-    replica = np.arange(count)[:, None]
     if mode == MODE_LINK_SHUFFLE:
-        # Slot s is the s-th off-diagonal flat index in row-major order.
+        # Slot s is the s-th off-diagonal flat index in row-major order; a
+        # draw is distinct slots in that n(n-1) space, no rejection loop.
         flat_of_slot = np.arange(n * n)[~np.eye(n, dtype=bool).ravel()]
-        stack[replica, flat_of_slot[draws]] = values
+
+        def write(row: np.ndarray) -> None:
+            row[flat_of_slot[rng.choice(n * (n - 1), size=n_edges, replace=False)]] = values
     else:
-        stack[replica, positions] = values[draws]
-    return stack.reshape(count, n, n)
+        def write(row: np.ndarray) -> None:
+            row[positions] = values[rng.permutation(n_edges)]
+    return write
 
 
 def shuffle_snapshot(snapshot: NetworkSnapshot, seed: int,
@@ -96,8 +91,14 @@ def shuffle_snapshot(snapshot: NetworkSnapshot, seed: int,
     """
     if replica < 0:
         raise DataError("replica must be a nonnegative integer")
-    return NetworkSnapshot(snapshot.period, snapshot.entities,
-                           _replicas(snapshot, seed, mode, 1, replica)[0])
+    write = _replica_writer(snapshot, seed, mode)
+    n = snapshot.n_entities
+    row = np.empty(n * n)
+    for _ in range(replica):
+        write(row)  # drawn and discarded
+    row.fill(0.0)
+    write(row)
+    return NetworkSnapshot(snapshot.period, snapshot.entities, row.reshape(n, n))
 
 
 def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
@@ -108,23 +109,38 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
     The replicas are consecutive draws from one generator seeded with
     `seed`, so they are independent and replayable, and the first R' of an
     R-replica ensemble are the R'-replica ensemble; `shuffle_snapshot`
-    replays replica k. All replicas are written into one stack and solved
-    together; the eigensolver overwrites the stack in place. In symmetrized
-    spectrum mode the top eigenvalue of each symmetrized replica is used.
+    replays replica k. The replicas are written, each as it is drawn, into
+    one reused buffer of at most `_CHUNK_BYTES` and solved a chunk at a
+    time; the eigensolver overwrites the chunk in place, so memory does not
+    grow with `n_samples`. In symmetrized spectrum mode each chunk is
+    symmetrized in place and the top eigenvalue of each replica is used. A
+    solver error names the replica's place in the stream as `replica k`.
     """
     if spectrum_mode not in SPECTRUM_MODES:
         raise DataError(f"unknown spectrum mode {spectrum_mode!r}")
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
-    stack = _replicas(snapshot, seed, mode, n_samples)
-    if spectrum_mode == MODE_SYMMETRIZED:
-        lambdas = symmetric_lambda_max((stack + stack.swapaxes(1, 2)) / 2.0)
-    else:
-        try:
-            lambdas, _ = leading_eigenpair(stack)
-        except FlowspectraError as exc:  # keeps residual and iterations
-            exc.args = (f"replica {exc.index}: {exc}",)
-            raise
+    write = _replica_writer(snapshot, seed, mode)
+    n = snapshot.n_entities
+    buffer = np.empty((min(n_samples, max(1, _CHUNK_BYTES // (8 * n * n))), n, n))
+    lambdas = np.empty(n_samples)
+    for start in range(0, n_samples, len(buffer)):
+        chunk = buffer[:n_samples - start]
+        chunk.fill(0.0)
+        for row in chunk.reshape(len(chunk), n * n):
+            write(row)
+        solved = lambdas[start:start + len(chunk)]
+        if spectrum_mode == MODE_SYMMETRIZED:
+            chunk += chunk.swapaxes(1, 2)  # numpy copies the overlapping operand
+            chunk /= 2.0
+            solved[:] = symmetric_lambda_max(chunk)
+        else:
+            try:
+                solved[:], _ = leading_eigenpair(chunk)
+            except FlowspectraError as exc:  # keeps residual and iterations
+                exc.index += start
+                exc.args = (f"replica {exc.index}: {exc}",)
+                raise
 
     ordered = np.sort(lambdas)
     if ordered[0] == ordered[-1]:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from flowspectra import (
+    ConvergenceError,
     DataError,
     MODE_LINK_SHUFFLE,
     MODE_SYMMETRIZED,
@@ -233,18 +235,66 @@ def test_core_periphery_structure_beats_null():
     for spectrum in (MODE_DIRECTED, MODE_SYMMETRIZED)
     for mode in (MODE_LINK_SHUFFLE, MODE_WEIGHT_PERMUTE)
 ])
-def test_each_stacked_replica_equals_its_own_solve(spectrum_mode, mode):
-    # A replica's lambda must not depend on the other matrices of its stack,
-    # and replica k of a seed's stream is the same however many follow it.
+def test_each_stacked_replica_equals_its_own_solve(monkeypatch, spectrum_mode, mode):
+    # A replica's lambda must not depend on the other matrices of its stack
+    # or on where the chunks split the stream, and replica k of a seed's
+    # stream is the same however many follow it.
     records = generate_synthetic(6, 25, 100.0, 1.0, 0.1, seed=3)
     snapshot = build_snapshot(records, records.periods[0])
+    matrix_bytes = 8 * snapshot.n_entities ** 2
+    assert nullmodel._CHUNK_BYTES // matrix_bytes >= 100  # one chunk holds them all
+    whole = null_ensemble(snapshot, 100, seed=41, mode=mode, spectrum_mode=spectrum_mode)
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", per_chunk * matrix_bytes)
+        chunked = null_ensemble(snapshot, 100, seed=41, mode=mode, spectrum_mode=spectrum_mode)
+        assert chunked == whole
     small = null_ensemble(snapshot, 13, seed=41, mode=mode, spectrum_mode=spectrum_mode)
-    large = null_ensemble(snapshot, 100, seed=41, mode=mode, spectrum_mode=spectrum_mode)
-    assert small.lambda_values == large.lambda_values[:13]
-    for k, lam in enumerate(small.lambda_values):
+    assert small.lambda_values == whole.lambda_values[:13]
+    for k, lam in enumerate(small.lambda_values):  # replicas 3 .. 12 follow a chunk boundary
         replica = shuffle_snapshot(snapshot, 41, mode, replica=k)
         if spectrum_mode == MODE_SYMMETRIZED:
             alone = float(np.linalg.eigvalsh(symmetrize(replica))[-1])
         else:
             alone, _ = leading_eigenpair(replica.weights)
         assert lam == alone
+
+
+@pytest.mark.parametrize("spectrum_mode", [MODE_DIRECTED, MODE_SYMMETRIZED])
+def test_null_memory_is_bounded_by_the_chunk_budget(spectrum_mode):
+    # 100 replicas of a 200-entity quarter fill 32 MB, yet the null may hold
+    # only one 1 MiB chunk, its overlap copy when symmetrizing, and O(N^2)
+    # solver temporaries. One (R, N, N) stack of them peaked at 56 MB
+    # (directed) and 96 MB (symmetrized).
+    rng = np.random.default_rng(23)
+    weights = rng.lognormal(size=(200, 200))
+    weights[rng.random((200, 200)) >= rng.uniform(0.2, 0.4)] = 0.0
+    np.fill_diagonal(weights, 0.0)
+    snapshot = NetworkSnapshot("2000-Q1", tuple(f"E{i:03d}" for i in range(200)), weights)
+    tracemalloc.start()
+    try:
+        stats = null_ensemble(snapshot, 100, seed=8, spectrum_mode=spectrum_mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n_samples == 100
+    assert peak < 4 * 2 ** 20
+
+
+def test_a_solver_error_in_a_later_chunk_names_its_replica(monkeypatch):
+    snapshot = snapshot_of(DENSE)
+    calls = []
+    solve = nullmodel.leading_eigenpair
+
+    def stuck_on_third_chunk(stack):
+        calls.append(len(stack))
+        if len(calls) == 3:
+            raise ConvergenceError("stuck", residual=0.5, iterations=11, index=0)
+        return solve(stack)
+
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", 8 * snapshot.n_entities ** 2)
+    monkeypatch.setattr(nullmodel, "leading_eigenpair", stuck_on_third_chunk)
+    with pytest.raises(ConvergenceError, match="^replica 2: stuck$") as excinfo:
+        null_ensemble(snapshot, 5, seed=1)
+    assert excinfo.value.index == 2
+    assert (excinfo.value.residual, excinfo.value.iterations) == (0.5, 11)
+    assert calls == [1, 1, 1]
