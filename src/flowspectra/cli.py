@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 data error, 2 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
+import os
 import sys
 from collections.abc import Iterable
 from dataclasses import replace
@@ -29,7 +31,7 @@ from .ingest import (
     read_utf8,
     write_text,
 )
-from .network import VOLUME_MODES, build_snapshot, snapshot_to_flow_csv, symmetrize
+from .network import build_snapshot, snapshot_to_flow_csv, symmetrize
 from .nullmodel import SHUFFLE_MODES, shuffle_snapshot
 from .pipeline import (
     PipelineConfig,
@@ -71,8 +73,6 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
                      help="shuffled replicas per period (default 100)")
     sub.add_argument("--spectrum-mode", choices=SPECTRUM_MODES, default=None,
                      help="matrix used for lambda_max and the market mode")
-    sub.add_argument("--volume-mode", choices=VOLUME_MODES, default=None,
-                     help="volume share counts lending, borrowing, or both")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,9 +253,25 @@ _COMMANDS = {
 }
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS chooses a count: its calls here act on N x N
+    matrices, too small for a second thread to pay. A BLAS without this
+    setter is left as it is."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        return
+    from numpy.linalg import _umath_linalg
+    setter = getattr(ctypes.CDLL(_umath_linalg.__file__),
+                     "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+        setter(1)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s",
                         stream=sys.stderr)
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

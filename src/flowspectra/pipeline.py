@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, DataError, FlowspectraError
 from .ingest import FlowRecordSet, derive_seed, write_text
 from .network import (
-    VOLUME_MODES,
     build_snapshot,
     density,
     symmetrize,
@@ -47,7 +46,6 @@ class PipelineConfig:
     null_samples: int = 100
     null_mode: str = MODE_LINK_SHUFFLE
     spectrum_mode: str = MODE_DIRECTED
-    volume_mode: str = "both"
 
     def __post_init__(self) -> None:
         for key in ("seed", "null_samples"):
@@ -62,8 +60,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown null mode {self.null_mode!r}")
         if self.spectrum_mode not in SPECTRUM_MODES:
             raise ConfigError(f"unknown spectrum mode {self.spectrum_mode!r}")
-        if self.volume_mode not in VOLUME_MODES:
-            raise ConfigError(f"unknown volume mode {self.volume_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def analyze_period(records: FlowRecordSet, period: str,
         stats = null_ensemble(snapshot, config.null_samples,
                               null_seed(records, period, config.seed), config.null_mode,
                               spectrum_mode=config.spectrum_mode)
-        shares = volume_share(snapshot, config.volume_mode)
+        shares = volume_share(snapshot)
     except FlowspectraError as exc:
         # Prefix in place so subclass attributes (residual, iterations) survive.
         exc.args = (f"{period}: {exc}",)

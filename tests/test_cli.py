@@ -1,10 +1,17 @@
 import argparse
+import ctypes
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import flowspectra
 from flowspectra import (
     ConvergenceError,
     PipelineConfig,
@@ -14,6 +21,7 @@ from flowspectra import (
     parse_flow_file,
     serialize_flow_csv,
 )
+from flowspectra import cli
 from flowspectra.cli import build_parser, main
 from flowspectra.spectral import MODE_SYMMETRIZED, SPECTRUM_MODES, symmetric_lambda_max
 
@@ -136,15 +144,14 @@ def test_synth_and_shuffle_reject_flags_they_ignore(flows_csv):
     assert main(["synth", "--periods", "1", "--null-samples", "5"]) == 3
     assert main(["synth", "--periods", "1", "--null-mode", "weight-permute"]) == 3
     shuffle = ["shuffle", "--input", str(flows_csv), "--period", "2008-Q3"]
-    assert main([*shuffle, "--volume-mode", "out"]) == 3
+    assert main([*shuffle, "--null-samples", "5"]) == 3
     assert main([*shuffle, "--spectrum-mode", "symmetrized"]) == 3
     assert main([*shuffle, "--null-mode", "weight-permute", "--seed", "2"]) == 0
 
 
 def test_synth_and_shuffle_reject_a_config_file(flows_csv, tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"null_samples": 5, "volume_mode": "out",
-                                  "spectrum_mode": "symmetrized"}))
+    config.write_text(json.dumps({"null_samples": 5, "spectrum_mode": "symmetrized"}))
     assert main(["synth", "--periods", "1", "--n-core", "2", "--n-periphery", "0",
                  "--config", str(config)]) == 3
     assert main(["shuffle", "--input", str(flows_csv), "--period", "2008-Q3",
@@ -181,16 +188,66 @@ def test_workers_flag_is_accepted_but_hidden(flows_csv, tmp_path, capsys):
     assert "--workers" not in capsys.readouterr().out
 
 
-def test_removed_timeseries_flags_are_rejected(flows_csv, tmp_path):
+def test_removed_timeseries_flags_are_rejected(flows_csv, tmp_path, caplog):
     base = ["timeseries", "--input", str(flows_csv), "--null-samples", "2",
             "--out", str(tmp_path / "run")]
     assert main(base + ["--normalize-lambda"]) == 3
     assert main(base + ["--format", "json"]) == 3
     assert main(base + ["--include-lambda-values"]) == 3
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"normalize_lambda": True}))
-    assert main(base + ["--config", str(config)]) == 3
+    assert main(base + ["--volume-mode", "both"]) == 3
+    for key, value in (("normalize_lambda", True), ("volume_mode", "both")):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: value}))
+        caplog.clear()
+        assert main(base + ["--config", str(config)]) == 3
+        assert f"{config}: unknown config key(s): {key}" in caplog.text
     assert not (tmp_path / "run").exists()
+
+
+def test_analyze_rejects_the_removed_volume_mode(flows_csv):
+    assert main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
+                 "--null-samples", "2", "--volume-mode", "out"]) == 3
+
+
+@pytest.mark.parametrize("env, calls", [({}, [1]), ({"OPENBLAS_NUM_THREADS": "2"}, []),
+                                        ({"OMP_NUM_THREADS": "2"}, [])],
+                         ids=["unset", "openblas", "omp"])
+def test_blas_runs_one_thread_unless_a_variable_sets_the_count(monkeypatch, env, calls):
+    counts = []
+    blas = SimpleNamespace(scipy_openblas_set_num_threads64_=lambda count: counts.append(count))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: blas)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["synth", "--periods", "1", "--n-core", "2", "--n-periphery", "0"]) == 0
+    assert counts == calls
+
+
+def test_a_blas_without_the_setter_is_left_alone(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert main(["synth", "--periods", "1", "--n-core", "2", "--n-periphery", "0"]) == 0
+
+
+def test_cli_runs_numpys_openblas_on_one_thread(tmp_path):
+    from numpy.linalg import _umath_linalg
+    if not hasattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's BLAS is not the bundled scipy-openblas")
+    script = ("import ctypes\n"
+              "from numpy.linalg import _umath_linalg\n"
+              "from flowspectra.cli import main\n"
+              f"main(['synth', '--periods', '1', '--out', {str(tmp_path)!r}])\n"
+              "blas = ctypes.CDLL(_umath_linalg.__file__)\n"
+              "print(blas.scipy_openblas_get_num_threads64_())\n")
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(flowspectra.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "1"
 
 
 def test_shuffle_writes_flow_csv(tmp_path):

@@ -27,10 +27,10 @@ NUMPY_VERSION = GOLDEN / "numpy-version.txt"
 PERIOD = "2001-Q1"
 
 
-def _runs(golden: Path) -> list[tuple[str, list[str]]]:
-    """(output directory, argv) of every golden run; inputs are read from
-    `golden`, so each run is compared on the committed synthetic series."""
-    flows = str(golden / "synth" / "flows.csv")
+def _runs() -> list[tuple[str, list[str]]]:
+    """(output directory, argv) of every golden run. Inputs are read from
+    tests/golden/, so each run is compared on the committed synthetic series."""
+    flows = str(GOLDEN / "synth" / "flows.csv")
     runs = [("synth", ["synth", "--seed", "7", "--periods", "8", "--link-prob", "0.05",
                        "--link-prob-end", "0.5"])]
     for spectrum_mode in ("directed-perron", "symmetrized"):
@@ -47,30 +47,28 @@ def _runs(golden: Path) -> list[tuple[str, list[str]]]:
                           "--linkage", linkage, "--format", fmt]))
     runs.append(("shuffle", ["shuffle", "--input", flows, "--period", PERIOD,
                              "--replica", "3"]))
-    runs.append(("convert-bis", ["convert-bis", "--input", str(golden / "bis-extract.csv"),
-                                 "--mapping", str(golden / "bis-mapping.json")]))
+    runs.append(("convert-bis", ["convert-bis", "--input", str(GOLDEN / "bis-extract.csv"),
+                                 "--mapping", str(GOLDEN / "bis-mapping.json")]))
     return runs
 
 
 def _write_all(out: Path) -> None:
-    for name, argv in _runs(GOLDEN):
+    for name, argv in _runs():
         assert main([*argv, "--out", str(out / name)]) == 0, name
 
 
-def test_golden_exports_are_byte_identical(tmp_path, capsys):
+def test_golden_exports_are_byte_identical(tmp_path):
     recorded = NUMPY_VERSION.read_text().strip()
     if np.__version__ != recorded:
         pytest.skip(f"golden files hold numpy {recorded}'s bits; this is numpy "
                     f"{np.__version__}, whose random streams or LAPACK may differ")
     _write_all(tmp_path)
-    capsys.readouterr()
-    names = sorted({name for name, _ in _runs(GOLDEN)})
-    expected = {p.relative_to(GOLDEN) for name in names for p in (GOLDEN / name).iterdir()}
+    expected = {p.relative_to(GOLDEN) for name, _ in _runs() for p in (GOLDEN / name).iterdir()}
     written = {p.relative_to(tmp_path) for p in tmp_path.glob("*/*")}
     assert written == expected
     differ = [str(p) for p in sorted(expected)
               if (tmp_path / p).read_bytes() != (GOLDEN / p).read_bytes()]
-    assert differ == []
+    assert not differ, "differ from tests/golden/: " + ", ".join(differ)
 
 
 if __name__ == "__main__":

@@ -305,8 +305,8 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         PipelineConfig(seed=-2)
     with pytest.raises(ConfigError, match="unknown spectrum mode 'bogus'"):
         PipelineConfig(spectrum_mode="bogus")
-    with pytest.raises(ConfigError, match="unknown volume mode 'bogus'"):
-        PipelineConfig(volume_mode="bogus")
+    with pytest.raises(TypeError, match="volume_mode"):
+        PipelineConfig(volume_mode="both")
 
 
 def test_config_is_frozen_and_carried_by_the_result():
@@ -318,7 +318,9 @@ def test_config_is_frozen_and_carried_by_the_result():
     assert result.config is config
     assert timeseries_to_json(result)["config"] == {
         "seed": 5, "null_samples": 5, "null_mode": "link-shuffle",
-        "spectrum_mode": "directed-perron", "volume_mode": "both"}
+        "spectrum_mode": "directed-perron"}
+    assert [field.name for field in dataclasses.fields(PipelineConfig)] == [
+        "seed", "null_samples", "null_mode", "spectrum_mode"]
 
 
 # --- exports -------------------------------------------------------------------
