@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import logging
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import replace
 from pathlib import Path
 
 from .cluster import LINKAGES, agglomerate, dendrogram_to_json, distance_matrix, to_newick
@@ -57,8 +55,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
                 null_mode: bool = True, analysis: bool = True) -> None:
     """Add --input, --seed and --out, and the config flags that the subcommand
-    reads: --null-mode, and the analysis flags with --config, the file that
-    sets them."""
+    reads: --null-mode, and the analysis flags."""
     if needs_input:
         sub.add_argument("--input", required=True, help="flow CSV file")
     sub.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
@@ -68,7 +65,6 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
                          help="null model: reassign links or permute weights")
     if not analysis:
         return
-    sub.add_argument("--config", help="JSON config file (CLI flags override it)")
     sub.add_argument("--null-samples", type=int, default=None,
                      help="shuffled replicas per period (default 100)")
     sub.add_argument("--spectrum-mode", choices=SPECTRUM_MODES, default=None,
@@ -130,27 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig()
-    if getattr(args, "config", None):
-        try:
-            values = json.loads(read_utf8(args.config))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: bad JSON config: {exc}") from None
-        if not isinstance(values, dict):
-            raise ConfigError(f"{args.config}: config file must hold a JSON object")
-        unknown = set(values) - set(PipelineConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown config key(s): "
-                              f"{', '.join(sorted(unknown))}")
-        try:
-            config = PipelineConfig(**values)
-        except ConfigError as exc:
-            raise ConfigError(f"{args.config}: {exc}") from None
-    # Flags > config file > defaults. Each config key's flag has the key as its
-    # dest; a flag not given, or one the subcommand lacks, leaves the key be.
-    flags = {key: getattr(args, key) for key in PipelineConfig.__dataclass_fields__
-             if getattr(args, key, None) is not None}
-    return replace(config, **flags)
+    # Each config key's flag has the key as its dest; a flag not given, or one
+    # the subcommand lacks, leaves the key at its default.
+    return PipelineConfig(**{
+        key: getattr(args, key) for key in PipelineConfig.__dataclass_fields__
+        if getattr(args, key, None) is not None})
 
 
 def _emit(chunks: Iterable[str], out_dir: str | None, filename: str) -> None:
@@ -214,17 +194,21 @@ def _cmd_dendrogram(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    records = generate_synthetic_series(
-        n_core=args.n_core,
-        n_periphery=args.n_periphery,
-        core_weight_scale=args.core_scale,
-        periphery_weight_scale=args.periphery_scale,
-        n_periods=args.periods,
-        seed=config.seed,
-        link_prob_start=args.link_prob,
-        link_prob_end=args.link_prob_end,
-        start_period=args.start_period,
-    )
+    # Every check the generator makes is on a flag's value: a bad command line.
+    try:
+        records = generate_synthetic_series(
+            n_core=args.n_core,
+            n_periphery=args.n_periphery,
+            core_weight_scale=args.core_scale,
+            periphery_weight_scale=args.periphery_scale,
+            n_periods=args.periods,
+            seed=config.seed,
+            link_prob_start=args.link_prob,
+            link_prob_end=args.link_prob_end,
+            start_period=args.start_period,
+        )
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     _emit(flow_csv_chunks(records), args.out, "flows.csv")
     return 0
 

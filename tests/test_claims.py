@@ -1,6 +1,7 @@
-"""The paper's claims, read from `flowspectra timeseries` exports of seeded
-input with a planted truth, each with a negative control. Every bound is
-taken from the model that planted the truth, not from trying seeds."""
+"""The paper's claims, read from `flowspectra timeseries` and `dendrogram`
+exports of seeded input with a planted truth, each with a negative control.
+Every bound is taken from the model that planted the truth, not from trying
+seeds."""
 import csv
 import json
 from math import comb, exp, log, sqrt
@@ -144,3 +145,67 @@ def test_density_rises_with_a_planted_link_ramp(tmp_path):
 
     assert abs(slope("--link-prob", "0.1", "--link-prob-end", "0.4") - expected) <= spread
     assert abs(slope("--link-prob", "0.25")) <= spread
+
+
+#: A 6-core, 25-periphery roster, named as `synth` names it.
+ROSTER = [f"C{i:03d}" for i in range(6)] + [f"P{i:03d}" for i in range(25)]
+
+
+def _first_merge_leaves(tmp_path, amounts: np.ndarray, merges: int) -> tuple[set, list]:
+    """Run `flowspectra dendrogram` (average linkage) on one quarter in which
+    ROSTER[i] lends `amounts[i, j]` to ROSTER[j] (zero: no row); the names
+    joined by its first `merges` merges, and every merge height."""
+    lines = ["period,reporter,counterparty,amount"]
+    lines += [f"2000-Q1,{ROSTER[i]},{ROSTER[j]},{float(amounts[i, j])!r}"
+              for i, j in zip(*np.nonzero(amounts)) if i != j]
+    flows, out = tmp_path / "flows.csv", tmp_path / "out"
+    flows.write_text("\n".join(lines) + "\n")
+    assert main(["dendrogram", "--input", str(flows), "--period", "2000-Q1",
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "dendrogram_2000-Q1.json").read_text())
+    members = {leaf: {name} for leaf, name in enumerate(payload["entities"])}
+    for merge in payload["merges"][:merges]:
+        members[merge["id"]] = members.pop(merge["left"]) | members.pop(merge["right"])
+    joined = set().union(*(group for group in members.values() if len(group) > 1))
+    return joined, [merge["height"] for merge in payload["merges"]]
+
+
+def test_the_dendrogram_finds_a_planted_core(tmp_path):
+    # Core-core amounts are uniform on [50, 100]; every other ordered pair of
+    # a 6-core, 25-periphery roster is linked with probability 1/2 and an
+    # amount in (0, 1]. The symmetrized core weights then lie in [50, 100]
+    # and all others in [0, 1], while s_max lies in [50, 100], so every
+    # core distance 1 - s / s_max is at most 0.5 and every other distance at
+    # least 0.98. An average-linkage height is a mean of such distances, so
+    # the first k - 1 merges join exactly the core, in every draw.
+    k, n = 6, 31
+    rng = np.random.default_rng(1501)
+    for _ in range(20):
+        amounts = np.where(rng.random((n, n)) < 0.5, 1.0 - rng.random((n, n)), 0.0)
+        amounts[:k, :k] = rng.uniform(50.0, 100.0, (k, k))
+        joined, heights = _first_merge_leaves(tmp_path, amounts, k - 1)
+        assert joined == set(ROSTER[:k])
+        assert max(heights[:k - 1]) <= 0.5 and min(heights[k - 1:]) >= 0.98
+
+
+def test_a_uniform_roster_merges_a_named_set_first_only_by_chance(tmp_path):
+    # Negative control: every ordered pair of 31 entities linked with an
+    # amount uniform on (0, 1]. The symmetrized weights of the 465 unordered
+    # pairs are i.i.d. and continuous, so the first merge, the closest pair,
+    # is uniform over them and lies inside the named 6-set with chance
+    # C(6, 2) / C(31, 2). Over 100 rosters the hit count is Binomial(100,
+    # p); `limit` is the least count it reaches with chance below 1e-4.
+    k, n, rosters = 6, 31, 100
+    p = comb(k, 2) / comb(n, 2)
+    limit = next(t for t in range(rosters + 1)
+                 if sum(comb(rosters, h) * p ** h * (1 - p) ** (rosters - h)
+                        for h in range(t, rosters + 1)) < 1e-4)
+    assert limit == 12
+    rng = np.random.default_rng(1601)
+    named = set(ROSTER[:k])
+    hits = 0
+    for _ in range(rosters):
+        joined, _ = _first_merge_leaves(tmp_path, 1.0 - rng.random((n, n)), 1)
+        assert len(joined) == 2
+        hits += joined <= named
+    assert hits < limit, f"{hits} of {rosters} uniform rosters merge the named set first"

@@ -136,7 +136,7 @@ def test_analysis_flags_are_exactly_the_config_fields(command):
     commands = next(action for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
     dests = {action.dest for action in commands.choices[command]._actions}
-    not_config = {"help", "input", "out", "config", "period", "workers"}
+    not_config = {"help", "input", "out", "period", "workers"}
     assert dests - not_config == {field.name for field in dataclasses.fields(PipelineConfig)}
 
 
@@ -149,13 +149,43 @@ def test_synth_and_shuffle_reject_flags_they_ignore(flows_csv):
     assert main([*shuffle, "--null-mode", "weight-permute", "--seed", "2"]) == 0
 
 
-def test_synth_and_shuffle_reject_a_config_file(flows_csv, tmp_path):
+@pytest.mark.parametrize("flags, message", [
+    (["--periods", "0"], "n_periods must be at least 1"),
+    (["--n-core", "0"], "n_core must be at least 1"),
+    (["--link-prob", "2"], "link_prob_pp must lie in [0, 1]"),
+    (["--core-scale", "-1"], "weight scales must be positive and finite"),
+    (["--start-period", "2000Q1"], "malformed period label '2000Q1' (expected YYYY-Qn)"),
+    (["--periods", "3", "--start-period", "9999-Q3"],
+     "quarter arithmetic left the calendar: 9999-Q3 +2"),
+], ids=["periods", "n-core", "link-prob", "core-scale", "start-period", "past-9999"])
+def test_synth_rejects_bad_generator_flags_as_config_errors(tmp_path, caplog, flags, message):
+    out = tmp_path / "data"
+    assert main(["synth", *flags, "--out", str(out)]) == 3
+    assert caplog.messages[-1] == f"config/IO error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "timeseries", "shuffle", "dendrogram",
+                                     "synth", "convert-bis"])
+def test_no_command_takes_a_config_file(flows_csv, tmp_path, caplog, command):
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({"period": "period", "reporter": "reporter",
+                                   "counterparty": "counterparty", "value": "amount"}))
+    flags = {
+        "analyze": ["--input", str(flows_csv), "--period", "2008-Q3", "--null-samples", "2"],
+        "timeseries": ["--input", str(flows_csv), "--null-samples", "2"],
+        "shuffle": ["--input", str(flows_csv), "--period", "2008-Q3"],
+        "dendrogram": ["--input", str(flows_csv), "--period", "2008-Q3"],
+        "synth": ["--periods", "1", "--n-core", "2", "--n-periphery", "0"],
+        "convert-bis": ["--input", str(flows_csv), "--mapping", str(mapping)],
+    }[command]
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"null_samples": 5, "spectrum_mode": "symmetrized"}))
-    assert main(["synth", "--periods", "1", "--n-core", "2", "--n-periphery", "0",
-                 "--config", str(config)]) == 3
-    assert main(["shuffle", "--input", str(flows_csv), "--period", "2008-Q3",
-                 "--config", str(config)]) == 3
+    config.write_text(json.dumps({"null_samples": 5}))
+    assert main([command, *flags, "--out", str(tmp_path / "a"), "--config", str(config)]) == 3
+    assert "unrecognized arguments: --config" in caplog.text
+    assert not (tmp_path / "a").exists()
+    # The same command line without --config runs.
+    assert main([command, *flags, "--out", str(tmp_path / "b")]) == 0
 
 
 def test_timeseries_requires_out(flows_csv):
@@ -188,19 +218,16 @@ def test_workers_flag_is_accepted_but_hidden(flows_csv, tmp_path, capsys):
     assert "--workers" not in capsys.readouterr().out
 
 
-def test_removed_timeseries_flags_are_rejected(flows_csv, tmp_path, caplog):
+def test_removed_timeseries_flags_are_rejected(flows_csv, tmp_path):
     base = ["timeseries", "--input", str(flows_csv), "--null-samples", "2",
             "--out", str(tmp_path / "run")]
     assert main(base + ["--normalize-lambda"]) == 3
     assert main(base + ["--format", "json"]) == 3
     assert main(base + ["--include-lambda-values"]) == 3
     assert main(base + ["--volume-mode", "both"]) == 3
-    for key, value in (("normalize_lambda", True), ("volume_mode", "both")):
-        config = tmp_path / f"{key}.json"
-        config.write_text(json.dumps({key: value}))
-        caplog.clear()
-        assert main(base + ["--config", str(config)]) == 3
-        assert f"{config}: unknown config key(s): {key}" in caplog.text
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"null_samples": 2}))
+    assert main(base + ["--config", str(config)]) == 3
     assert not (tmp_path / "run").exists()
 
 
@@ -369,56 +396,9 @@ def test_convert_bis_rejects_a_keyvalue_mapping(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_config_file_with_cli_override(flows_csv, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 3, "null_samples": 2}))
-    out = tmp_path / "run"
-    assert main(["timeseries", "--input", str(flows_csv), "--config", str(config),
-                 "--seed", "9", "--out", str(out)]) == 0
-    capsys.readouterr()
-    payload = json.loads((out / "timeseries.json").read_text())
-    assert payload["config"]["seed"] == 9
-    assert payload["config"]["null_samples"] == 2
-
-
-def test_config_precedence_cli_over_file_over_defaults(flows_csv, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 3, "null_samples": 7}))
-    out = tmp_path / "run"
-    assert main(["timeseries", "--input", str(flows_csv), "--config", str(config),
-                 "--seed", "11", "--out", str(out)]) == 0
-    settings = json.loads((out / "timeseries.json").read_text())["config"]
-    assert settings["seed"] == 11
-    assert settings["null_samples"] == 7
-    assert settings["null_mode"] == "link-shuffle"
-
-
-@pytest.mark.parametrize("values", [
-    {"null_samples": 2.5},
-    {"seed": 1.5},
-    {"seed": True},
-    {"null_samples": True},
-    {"include_lambda_values": "no"},  # a removed key: unknown, whatever its value
-    {"include_lambda_values": 1},
-    [{"seed": 1}],
-    "seed",
-])
-def test_config_file_values_of_the_wrong_type_are_config_errors(flows_csv, tmp_path, caplog,
-                                                                values):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(values))
-    out = tmp_path / "run"
-    assert main(["timeseries", "--input", str(flows_csv), "--config", str(config),
-                 "--out", str(out)]) == 3
-    assert not out.exists()
-    assert caplog.messages[-1].startswith(f"config/IO error: {config}: ")
-
-
-def test_a_bad_flag_value_is_not_blamed_on_the_config_file(flows_csv, tmp_path, caplog):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"null_samples": 5}))
+def test_a_bad_flag_value_is_a_config_error(flows_csv, caplog):
     assert main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
-                 "--config", str(config), "--null-samples", "0"]) == 3
+                 "--null-samples", "0"]) == 3
     assert caplog.messages[-1] == "config/IO error: null_samples must be at least 1"
 
 
@@ -506,30 +486,16 @@ def test_mapping_values_that_are_not_strings_are_config_errors(tmp_path):
     assert _convert(tmp_path, raw, filtered) == 3
 
 
-def test_config_file_that_is_not_utf8_is_a_config_error(flows_csv, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_bytes(b'{"null_mode": "link-shuffl\xe9"}')
-    assert main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
-                 "--config", str(config)]) == 3
-
-
-@pytest.mark.parametrize("flag, text, message", [
-    ("--config", '{"seed": 1, }', "bad JSON config: Expecting property name enclosed in "
-                                  "double quotes: line 1 column 13 (char 12)"),
-    ("--config", '[{"seed": 1}]', "config file must hold a JSON object"),
-    ("--mapping", '{"period": "P",', "bad JSON mapping: Expecting property name enclosed "
-                                     "in double quotes: line 1 column 16 (char 15)"),
-    ("--mapping", '["P", "R", "C", "V"]', "mapping must be a JSON object"),
-], ids=["config-syntax", "config-not-object", "mapping-syntax", "mapping-not-object"])
-def test_json_input_errors_name_their_file(flows_csv, tmp_path, caplog, flag, text, message):
+@pytest.mark.parametrize("text, message", [
+    ('{"period": "P",', "bad JSON mapping: Expecting property name enclosed "
+                        "in double quotes: line 1 column 16 (char 15)"),
+    ('["P", "R", "C", "V"]', "mapping must be a JSON object"),
+], ids=["mapping-syntax", "mapping-not-object"])
+def test_json_input_errors_name_their_file(tmp_path, caplog, text, message):
     source = tmp_path / "input.json"
     source.write_text(text)
-    if flag == "--config":
-        code = main(["analyze", "--input", str(flows_csv), "--period", "2008-Q3",
-                     "--config", str(source)])
-    else:
-        (tmp_path / "raw.csv").write_text("P,R,C,V\n2008-Q3,US,GB,5\n")
-        code = main(["convert-bis", "--input", str(tmp_path / "raw.csv"),
-                     "--mapping", str(source)])
+    (tmp_path / "raw.csv").write_text("P,R,C,V\n2008-Q3,US,GB,5\n")
+    code = main(["convert-bis", "--input", str(tmp_path / "raw.csv"),
+                 "--mapping", str(source)])
     assert code == 3
     assert caplog.messages[-1] == f"config/IO error: {source}: {message}"

@@ -27,7 +27,6 @@ from flowspectra import (
     run_timeseries,
     timeseries_to_json,
 )
-from flowspectra.cli import main
 from flowspectra.nullmodel import NullEnsembleStats
 from flowspectra.pipeline import (PeriodResult, dataset_fingerprint, json_text,
                                   period_to_json)
@@ -290,13 +289,11 @@ def test_degenerate_null_equality_case():
 # --- configuration -----------------------------------------------------------
 
 
-def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"bogus": 1}))
-    source = tmp_path / "flows.csv"
-    source.write_text(TWO_NODE)
-    assert main(["analyze", "--input", str(source), "--period", "2008-Q3",
-                 "--config", str(config)]) == 3
+def test_config_rejects_unknown_keys_and_bad_values():
+    for key, value in (("seed", 1.5), ("seed", True), ("null_samples", 2.5),
+                       ("null_samples", True)):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value!r}$"):
+            PipelineConfig(**{key: value})
     with pytest.raises(ConfigError):
         PipelineConfig(null_samples=0)
     with pytest.raises(ConfigError):
