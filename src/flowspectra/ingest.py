@@ -660,13 +660,17 @@ def generate_synthetic_series(n_core: int, n_periphery: int, core_weight_scale: 
 
     The periphery-periphery link probability ramps linearly from
     `link_prob_start` to `link_prob_end` (defaults to the start value) across
-    periods. Period t uses a sub-seed derived from (seed, t), so the whole
-    series is reproducible from one integer.
+    periods; both ends must lie in [0, 1], even for one period. Period t
+    uses a sub-seed derived from (seed, t), so the whole series is
+    reproducible from one integer.
     """
     if n_periods < 1:
         raise DataError("n_periods must be at least 1")
     if link_prob_end is None:
         link_prob_end = link_prob_start
+    for name, prob in (("link_prob_start", link_prob_start), ("link_prob_end", link_prob_end)):
+        if not 0.0 <= prob <= 1.0:
+            raise DataError(f"{name} must lie in [0, 1], got {prob}")
     rows = []
     for index, period in enumerate(period_sequence(start_period, n_periods)):
         if n_periods == 1:

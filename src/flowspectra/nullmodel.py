@@ -49,6 +49,17 @@ class NullEnsembleStats:
 _CHUNK_BYTES = 1 << 20
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """The q-quantile of a sorted sample of at least 2, by the linear rule
+    (Hyndman & Fan's type 7, numpy's default method) and with the bits of
+    `np.quantile`, whose first call in a process imports `numpy.ma`."""
+    h = (len(ordered) - 1) * q
+    i = int(h)  # floor: h >= 0
+    a, b, t = float(ordered[i]), float(ordered[i + 1]), h - i
+    # numpy's _lerp: the form that ends at the nearer neighbour
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _replica_writer(snapshot: NetworkSnapshot, seed: int, mode: str):
     """`write(row)`, which writes the next replica of the stream
     `default_rng(seed)` (see `shuffle_snapshot`) as it is drawn into `row`,
@@ -154,7 +165,7 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
         scaled = np.ldexp(ordered, -exponent)
         mean = float(np.ldexp(scaled.mean(), exponent))
         std = float(np.ldexp(scaled.std(), exponent))
-        q01, q50, q99 = (float(q) for q in np.quantile(ordered, [0.01, 0.50, 0.99]))
+        q01, q50, q99 = (_quantile(ordered, q) for q in (0.01, 0.50, 0.99))
     return NullEnsembleStats(
         mode=mode,
         n_samples=n_samples,

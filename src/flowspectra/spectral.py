@@ -71,13 +71,20 @@ def participation_percent(market_mode: np.ndarray) -> np.ndarray:
     return (_unit_vectors(market_mode) ** 2) * 100.0
 
 
-def _compact(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Move the kept matrices, in order, to the front of `stack` (in place,
-    with no temporary stack) and return that prefix as a view."""
-    for j, k in enumerate(keep):
-        if j != k:
-            stack[j] = stack[k]
-    return stack[:len(keep)]
+def _fill_holes(stack: np.ndarray, leaving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Close the gaps that the matrices marked `leaving` leave among the first
+    m places of `stack` (m = the number staying), in place: each such hole
+    takes one staying matrix from behind the first m, by one single-matrix
+    copy, and no other matrix moves. Returns the first m places as a view and
+    the old place of the matrix now at each of them."""
+    m = len(leaving) - np.count_nonzero(leaving)
+    keep = np.arange(m)
+    holes = np.flatnonzero(leaving[:m])
+    if len(holes):
+        keep[holes] = m + np.flatnonzero(~leaving[m:])
+        for hole, k in zip(holes.tolist(), keep[holes].tolist()):
+            stack[hole] = stack[k]
+    return stack[:m], keep
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -180,11 +187,13 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
     shift = 0.5 * row_sums.sum(axis=1) / np.count_nonzero(row_sums, axis=1)
     flat[:, ::n + 1] += shift[:, None]  # B = A + shift I, in place
 
-    # Only unconverged matrices are iterated: they sit, in order, at the front
-    # of the work array, and `active` holds their positions in the stack.
-    active = np.flatnonzero(iterate)
-    b, shift, exponents = _compact(a, active), shift[active], exponents[active]
+    # Only unconverged matrices are iterated: they fill the front of the work
+    # array, in no set order, and `active` holds their positions in the stack.
+    # A matrix gets the same bits at any place, so the order moves no digit.
+    b, active = _fill_holes(a, ~iterate)
+    shift, exponents = shift[active], exponents[active]
     x = np.full((len(active), n), 1.0 / math.sqrt(n))
+    y = np.empty_like(x)
     iterations = 0
     while len(active):
         # A block: steps - 1 bare products, then one normalized pair
@@ -197,7 +206,8 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
         # inside the float range for any n below 10**8.
         steps = min(_BLOCK_STEPS, MAX_ITERATIONS - iterations)
         for _ in range(steps - 1):
-            x = np.matmul(b, x[:, :, None])[:, :, 0]
+            np.matmul(b, x[:, :, None], out=y[:, :, None])
+            x, y = y, x
         u = x / np.sqrt(_dots(x, x))[:, None]
         w = np.matmul(b, u[:, :, None])[:, :, 0]
         iterations += steps
@@ -214,20 +224,22 @@ def leading_eigenpair(weights: np.ndarray) -> tuple:
             done = active[finished]
             with np.errstate(over="ignore"):
                 lambdas[done] = np.ldexp(lam[finished], exponents[finished])
-            for k in done[np.isinf(lambdas[done])]:
-                raise DataError("spectral radius exceeds the float range", index=int(k))
+            overflowed = done[np.isinf(lambdas[done])]
+            if len(overflowed):
+                raise DataError("spectral radius exceeds the float range",
+                                index=int(overflowed.min()))
             vectors[done] = u[finished]
-            keep = np.flatnonzero(~finished)
-            b = _compact(b, keep)
+            b, keep = _fill_holes(b, finished)
             active, shift, exponents = active[keep], shift[keep], exponents[keep]
-            x, res, lam = w[keep], res[keep], lam[keep]
+            x, y, res, lam = w[keep], y[:len(keep)], res[keep], lam[keep]
         if iterations == MAX_ITERATIONS and len(active):
+            first = int(np.argmin(active))  # the first unconverged in the stack
             with np.errstate(over="ignore"):  # scaled back, it may pass the float max
-                res, lam = np.ldexp([res[0], lam[0]], exponents[0]).tolist()
+                res, lam = np.ldexp([res[first], lam[first]], exponents[first]).tolist()
             raise ConvergenceError(
                 f"power iteration did not converge within {MAX_ITERATIONS} iterations "
                 f"(residual {res:.3e}, lambda {lam:.6e})",
-                residual=res, iterations=MAX_ITERATIONS, index=int(active[0]),
+                residual=res, iterations=MAX_ITERATIONS, index=int(active[first]),
             )
     return lambdas, np.take_along_axis(vectors, np.argsort(order, axis=1), axis=1)
 

@@ -152,12 +152,19 @@ def test_synth_and_shuffle_reject_flags_they_ignore(flows_csv):
 @pytest.mark.parametrize("flags, message", [
     (["--periods", "0"], "n_periods must be at least 1"),
     (["--n-core", "0"], "n_core must be at least 1"),
-    (["--link-prob", "2"], "link_prob_pp must lie in [0, 1]"),
+    (["--link-prob", "2"], "link_prob_start must lie in [0, 1], got 2.0"),
+    (["--periods", "2", "--link-prob", "2"], "link_prob_start must lie in [0, 1], got 2.0"),
+    # The ramp's end is checked even where one quarter never reaches it.
+    (["--periods", "1", "--link-prob-end", "5"], "link_prob_end must lie in [0, 1], got 5.0"),
+    (["--periods", "1", "--link-prob-end", "nan"], "link_prob_end must lie in [0, 1], got nan"),
+    (["--periods", "2", "--link-prob-end", "5"], "link_prob_end must lie in [0, 1], got 5.0"),
     (["--core-scale", "-1"], "weight scales must be positive and finite"),
     (["--start-period", "2000Q1"], "malformed period label '2000Q1' (expected YYYY-Qn)"),
     (["--periods", "3", "--start-period", "9999-Q3"],
      "quarter arithmetic left the calendar: 9999-Q3 +2"),
-], ids=["periods", "n-core", "link-prob", "core-scale", "start-period", "past-9999"])
+], ids=["periods", "n-core", "link-prob", "link-prob-2-periods", "link-prob-end-1-period",
+        "link-prob-end-nan", "link-prob-end-2-periods", "core-scale", "start-period",
+        "past-9999"])
 def test_synth_rejects_bad_generator_flags_as_config_errors(tmp_path, caplog, flags, message):
     out = tmp_path / "data"
     assert main(["synth", *flags, "--out", str(out)]) == 3

@@ -1,5 +1,9 @@
-"""Import hygiene: every name a package module imports is used in it."""
+"""Import hygiene: every name a package module imports is used in it, and a
+run imports no module it does not need."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +119,20 @@ def test_a_file_writing_call_is_found():
               "def readers(p):\n    return (open(p), open(p, 'rb'), open(p, mode='r'),\n"
               "            p.open(), p.open('r'), p.read_text(), write_text(p, []))\n")
     assert callers(source, writes_a_file) == ["<module>", "f", "f", "g", "g", "g"]
+
+
+def test_a_timeseries_run_does_not_import_numpy_ma(tmp_path):
+    # np.quantile, np.unique and np.median import numpy.ma on their first
+    # call, which would add about 10 ms to every run.
+    flows, out = str(tmp_path / "flows.csv"), str(tmp_path / "out")
+    script = ("import sys\n"
+              "from flowspectra import cli\n"
+              f"assert cli.main(['synth', '--periods', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+              f"code = cli.main(['timeseries', '--input', {flows!r}, '--out', {out!r}])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(flowspectra.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 False"

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowspectra import (
     ConvergenceError,
@@ -204,7 +205,31 @@ def test_ensemble_stats_recomputable_from_values():
     values = np.sort(np.asarray(stats.lambda_values))
     assert stats.mean == pytest.approx(values.mean(), rel=1e-12)
     assert stats.std == pytest.approx(values.std(), abs=1e-12)
-    assert stats.q50 == pytest.approx(np.quantile(values, 0.5), rel=1e-12)
+    assert [stats.q01, stats.q50, stats.q99] == np.quantile(values, [0.01, 0.5, 0.99]).tolist()
+
+
+LAMBDAS = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(LAMBDAS, min_size=1, max_size=400),
+    # Few distinct values: ties, and constant runs down to one value.
+    st.lists(LAMBDAS, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=400)),
+))
+def test_quantiles_equal_numpys_bit_for_bit(lambda_values):
+    values = iter(lambda_values)
+
+    def drawn(stack):
+        return np.array([next(values) for _ in stack]), None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nullmodel, "leading_eigenpair", drawn)
+        stats = null_ensemble(snapshot_of([[0.0, 1.0], [2.0, 0.0]]), len(lambda_values), seed=3)
+    assert stats.lambda_values == tuple(lambda_values)
+    expected = np.quantile(lambda_values, [0.01, 0.5, 0.99]).tolist()
+    assert [stats.q01, stats.q50, stats.q99] == expected
 
 
 def test_ensemble_rejects_bad_sample_count():

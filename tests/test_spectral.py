@@ -175,12 +175,17 @@ def test_stack_errors_name_the_matrix():
 # eighth block), the second passes at the end of the first block.
 LATE_OVERFLOW = np.array([[1.7, 0.2], [0.3, 1.5]]) * 2.0 ** 1023
 EARLY_OVERFLOW = np.array([[1.2, 1.5], [1.5, 1.2]]) * 2.0 ** 1023
+# Its radius is past the float maximum, and its pair passes at the end of the
+# sixth block.
+SIXTH_BLOCK_OVERFLOW = np.array([[1.9, 0.3], [0.4, 1.7]]) * 2.0 ** 1023
 
 
 @pytest.mark.parametrize("stack, index", [
     ([LATE_OVERFLOW, EARLY_OVERFLOW], 1),
     ([EARLY_OVERFLOW, LATE_OVERFLOW], 0),
     ([LATE_OVERFLOW, EARLY_OVERFLOW, EARLY_OVERFLOW], 1),
+    # Matrix 2 takes the place that matrix 0 leaves after the first block.
+    ([[[1.0, 0.5], [0.5, 1.0]], SIXTH_BLOCK_OVERFLOW, SIXTH_BLOCK_OVERFLOW], 1),
 ])
 def test_overflow_error_names_the_matrix_that_finishes_first(stack, index):
     # Within one block, the first in the stack is named.
