@@ -3,6 +3,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -128,14 +129,90 @@ def test_flags_a_command_ignores_are_rejected(flows_csv):
                  "--workers", "1"]) == 3
 
 
+# Every flag of every subcommand: option, dest, type, default, choices,
+# required, help. `--workers` is accepted and hidden.
+MODES = {"null": ("link-shuffle", "weight-permute"),
+         "spectrum": ("directed-perron", "symmetrized")}
+INPUT = ("--input", "input", None, None, None, True, "flow CSV file")
+SEED = ("--seed", "seed", int, None, None, False, "master seed (default 0)")
+OUT = ("--out", "out", None, None, None, False, "output directory")
+NULL_MODE = ("--null-mode", "null_mode", None, None, MODES["null"], False,
+             "null model: reassign links or permute weights")
+NULL_SAMPLES = ("--null-samples", "null_samples", int, None, None, False,
+                "shuffled replicas per period (default 100)")
+SPECTRUM_MODE = ("--spectrum-mode", "spectrum_mode", None, None, MODES["spectrum"], False,
+                 "matrix used for lambda_max and the market mode")
+CLI_SURFACE = {
+    "analyze": [INPUT, SEED, OUT, NULL_MODE, NULL_SAMPLES, SPECTRUM_MODE,
+                ("--period", "period", None, None, None, True, "quarter label, e.g. 2008-Q3")],
+    "timeseries": [INPUT, SEED, OUT, NULL_MODE, NULL_SAMPLES, SPECTRUM_MODE,
+                   ("--workers", "workers", int, None, None, False, argparse.SUPPRESS)],
+    "shuffle": [INPUT, SEED, OUT, NULL_MODE,
+                ("--period", "period", None, None, None, True, None),
+                ("--replica", "replica", int, 0, None, False,
+                 "which replica of the period's null to write (default 0)")],
+    "dendrogram": [INPUT, OUT,
+                   ("--period", "period", None, None, None, True, None),
+                   ("--linkage", "linkage", None, "average", ("average", "single", "complete"),
+                    False, None),
+                   ("--format", "format", None, "json", ("json", "newick"), False, None)],
+    "synth": [SEED, OUT,
+              ("--n-core", "n_core", int, 6, None, False, None),
+              ("--n-periphery", "n_periphery", int, 25, None, False, None),
+              ("--core-scale", "core_scale", float, 100.0, None, False, None),
+              ("--periphery-scale", "periphery_scale", float, 1.0, None, False, None),
+              ("--link-prob", "link_prob", float, 0.1, None, False,
+               "periphery-periphery link probability"),
+              ("--link-prob-end", "link_prob_end", float, None, None, False,
+               "ramp the link probability to this final value"),
+              ("--periods", "periods", int, 1, None, False, None),
+              ("--start-period", "start_period", None, "2000-Q1", None, False, None)],
+    "convert-bis": [("--input", "input", None, None, None, True, "raw CSV extract"),
+                    ("--mapping", "mapping", None, None, None, True,
+                     "column mapping (JSON file)"),
+                    OUT],
+}
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_every_flag_of_every_subcommand_is_pinned():
+    parsers = subcommand_parsers()
+    assert list(parsers) == list(CLI_SURFACE)
+    for command, rows in CLI_SURFACE.items():
+        flags = {action.option_strings[0]: (
+            action.option_strings[0], action.dest, action.type, action.default,
+            action.choices, action.required, action.help)
+            for action in parsers[command]._actions
+            if not isinstance(action, argparse._HelpAction)}
+        assert flags == {row[0]: row for row in rows}, command
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """Each `flowspectra` command of the sh block under README "## CLI", as
+    words, its backslash-continued lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("flowspectra ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert {words[1] for words in commands} == set(CLI_SURFACE)
+    for words in commands:
+        assert build_parser().parse_args(words[1:]).command == words[1]
+
+
 @pytest.mark.parametrize("command", ["analyze", "timeseries"])
 def test_analysis_flags_are_exactly_the_config_fields(command):
     """`_build_config` reads each config key from the flag whose dest is the
     key, so a field added without its flag, or a flag without its field,
     fails here."""
-    commands = next(action for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    dests = {action.dest for action in commands.choices[command]._actions}
+    dests = {action.dest for action in subcommand_parsers()[command]._actions}
     not_config = {"help", "input", "out", "period", "workers"}
     assert dests - not_config == {field.name for field in dataclasses.fields(PipelineConfig)}
 
@@ -195,8 +272,9 @@ def test_no_command_takes_a_config_file(flows_csv, tmp_path, caplog, command):
     assert main([command, *flags, "--out", str(tmp_path / "b")]) == 0
 
 
-def test_timeseries_requires_out(flows_csv):
+def test_timeseries_requires_out(flows_csv, caplog):
     assert main(["timeseries", "--input", str(flows_csv)]) == 3
+    assert "--out" in caplog.messages[-1]
 
 
 def test_timeseries_of_a_header_only_file_is_a_data_error(tmp_path):
