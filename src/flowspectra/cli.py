@@ -1,9 +1,5 @@
-"""Command-line interface.
-
-Subcommands: analyze (one period), timeseries (all periods), shuffle (emit
-one replica of a period's null as flow CSV), dendrogram (per-period tree and
-leaf order), synth (generate a synthetic dataset), convert-bis (run the
-converter).
+"""Command-line interface: `build_parser` declares the six subcommands and
+the flags each one reads.
 
 Exit codes: 0 success, 1 data error, 2 numerical non-convergence,
 3 I/O or configuration error (including bad command lines).
@@ -52,58 +48,52 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True,
-                null_mode: bool = True, analysis: bool = True) -> None:
-    """Add --input, --seed and --out, and the config flags that the subcommand
-    reads: --null-mode, and the analysis flags."""
-    if needs_input:
-        sub.add_argument("--input", required=True, help="flow CSV file")
-    sub.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    sub.add_argument("--out", help="output directory")
-    if null_mode:
-        sub.add_argument("--null-mode", choices=SHUFFLE_MODES, default=None,
-                         help="null model: reassign links or permute weights")
-    if not analysis:
-        return
-    sub.add_argument("--null-samples", type=int, default=None,
-                     help="shuffled replicas per period (default 100)")
-    sub.add_argument("--spectrum-mode", choices=SPECTRUM_MODES, default=None,
-                     help="matrix used for lambda_max and the market mode")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowspectra",
                      description="Spectral and null-model analysis of "
                                  "bilateral flow networks")
     commands = parser.add_subparsers(dest="command", required=True)
+    # Each flag that several subcommands read is declared once, in a parent
+    # parser that those subcommands take through `parents=`; `--help` lists a
+    # subcommand's parent flags before its own. `main` calls the handler that
+    # each subcommand binds as `run`.
+    flow_input, seed, out, null_mode, analysis, period = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    flow_input.add_argument("--input", required=True, help="flow CSV file")
+    seed.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    out.add_argument("--out", help="output directory")
+    null_mode.add_argument("--null-mode", choices=SHUFFLE_MODES, default=None,
+                           help="null model: reassign links or permute weights")
+    analysis.add_argument("--null-samples", type=int, default=None,
+                          help="shuffled replicas per period (default 100)")
+    analysis.add_argument("--spectrum-mode", choices=SPECTRUM_MODES, default=None,
+                          help="matrix used for lambda_max and the market mode")
+    period.add_argument("--period", required=True, help="quarter label, e.g. 2008-Q3")
 
-    analyze = commands.add_parser("analyze", help="analyze one period")
-    _add_common(analyze)
-    analyze.add_argument("--period", required=True, help="quarter label, e.g. 2008-Q3")
+    commands.add_parser("analyze", parents=[flow_input, seed, out, null_mode, analysis, period],
+                        help="analyze one period").set_defaults(run=_cmd_analyze)
 
-    timeseries = commands.add_parser("timeseries", help="analyze every period")
-    _add_common(timeseries)
+    timeseries = commands.add_parser("timeseries", parents=[flow_input, seed, null_mode, analysis],
+                                     help="analyze every period")
+    timeseries.add_argument("--out", required=True, help="output directory")
     # Accepted and ignored: periods always run serially, but existing
     # scripts still pass this flag.
     timeseries.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
+    timeseries.set_defaults(run=_cmd_timeseries)
 
-    shuffle = commands.add_parser("shuffle",
+    shuffle = commands.add_parser("shuffle", parents=[flow_input, seed, out, null_mode, period],
                                   help="emit one replica of a period's null as flow CSV")
-    _add_common(shuffle, analysis=False)
-    shuffle.add_argument("--period", required=True)
     shuffle.add_argument("--replica", type=int, default=0,
                          help="which replica of the period's null to write (default 0)")
+    shuffle.set_defaults(run=_cmd_shuffle)
 
-    dendro = commands.add_parser("dendrogram",
+    dendro = commands.add_parser("dendrogram", parents=[flow_input, out, period],
                                  help="cluster one period's symmetrized matrix")
-    dendro.add_argument("--input", required=True, help="flow CSV file")
-    dendro.add_argument("--out", help="output directory")
-    dendro.add_argument("--period", required=True)
     dendro.add_argument("--linkage", choices=LINKAGES, default="average")
     dendro.add_argument("--format", choices=("json", "newick"), default="json")
+    dendro.set_defaults(run=_cmd_dendrogram)
 
-    synth = commands.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(synth, needs_input=False, null_mode=False, analysis=False)
+    synth = commands.add_parser("synth", parents=[seed, out], help="generate a synthetic dataset")
     synth.add_argument("--n-core", type=int, default=6)
     synth.add_argument("--n-periphery", type=int, default=25)
     synth.add_argument("--core-scale", type=float, default=100.0)
@@ -114,13 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ramp the link probability to this final value")
     synth.add_argument("--periods", type=int, default=1)
     synth.add_argument("--start-period", default="2000-Q1")
+    synth.set_defaults(run=_cmd_synth)
 
-    convert = commands.add_parser("convert-bis",
+    convert = commands.add_parser("convert-bis", parents=[out],
                                   help="convert a raw locational-statistics extract")
     convert.add_argument("--input", required=True, help="raw CSV extract")
-    convert.add_argument("--mapping", required=True,
-                         help="column mapping (JSON file)")
-    convert.add_argument("--out", help="output directory")
+    convert.add_argument("--mapping", required=True, help="column mapping (JSON file)")
+    convert.set_defaults(run=_cmd_convert_bis)
 
     return parser
 
@@ -153,8 +143,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeseries(args: argparse.Namespace) -> int:
-    if not args.out:
-        raise ConfigError("timeseries requires --out")
     config = _build_config(args)
     records = parse_flow_file(args.input)
     for path in export(run_timeseries(records, config), args.out):
@@ -227,16 +215,6 @@ def _cmd_convert_bis(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "timeseries": _cmd_timeseries,
-    "shuffle": _cmd_shuffle,
-    "dendrogram": _cmd_dendrogram,
-    "synth": _cmd_synth,
-    "convert-bis": _cmd_convert_bis,
-}
-
-
 def _one_blas_thread() -> None:
     """Run numpy's bundled OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
     or OMP_NUM_THREADS chooses a count: its calls here act on N x N
@@ -259,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except DataError as exc:
         logger.error("data error: %s", exc)
         return 1

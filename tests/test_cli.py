@@ -142,17 +142,17 @@ NULL_SAMPLES = ("--null-samples", "null_samples", int, None, None, False,
                 "shuffled replicas per period (default 100)")
 SPECTRUM_MODE = ("--spectrum-mode", "spectrum_mode", None, None, MODES["spectrum"], False,
                  "matrix used for lambda_max and the market mode")
+PERIOD = ("--period", "period", None, None, None, True, "quarter label, e.g. 2008-Q3")
 CLI_SURFACE = {
-    "analyze": [INPUT, SEED, OUT, NULL_MODE, NULL_SAMPLES, SPECTRUM_MODE,
-                ("--period", "period", None, None, None, True, "quarter label, e.g. 2008-Q3")],
-    "timeseries": [INPUT, SEED, OUT, NULL_MODE, NULL_SAMPLES, SPECTRUM_MODE,
+    "analyze": [INPUT, SEED, OUT, NULL_MODE, NULL_SAMPLES, SPECTRUM_MODE, PERIOD],
+    # `timeseries` writes three files, so it needs a directory.
+    "timeseries": [INPUT, SEED, ("--out", "out", None, None, None, True, "output directory"),
+                   NULL_MODE, NULL_SAMPLES, SPECTRUM_MODE,
                    ("--workers", "workers", int, None, None, False, argparse.SUPPRESS)],
-    "shuffle": [INPUT, SEED, OUT, NULL_MODE,
-                ("--period", "period", None, None, None, True, None),
+    "shuffle": [INPUT, SEED, OUT, NULL_MODE, PERIOD,
                 ("--replica", "replica", int, 0, None, False,
                  "which replica of the period's null to write (default 0)")],
-    "dendrogram": [INPUT, OUT,
-                   ("--period", "period", None, None, None, True, None),
+    "dendrogram": [INPUT, OUT, PERIOD,
                    ("--linkage", "linkage", None, "average", ("average", "single", "complete"),
                     False, None),
                    ("--format", "format", None, "json", ("json", "newick"), False, None)],
