@@ -16,6 +16,7 @@ from array import array
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -213,9 +214,11 @@ def _parse_plain_lines(handle: TextIO) -> FlowRecordSet | None:
     """Parse flow CSV text in which every line is plain; None at the first
     line that is not, or at a record the csv path would reject.
 
-    A plain line ends in LF, holds exactly three commas (so it is not blank)
-    and no quote, CR or NUL, and is no longer than `csv.field_size_limit()`:
-    `csv.reader` splits it exactly as `line.split(",")` does. The text is
+    A plain line ends in LF or CRLF (the last line may end in neither), holds
+    exactly three commas (so it is not blank) and no quote, lone CR or NUL,
+    and is no longer than `csv.field_size_limit()`: `csv.reader` splits it
+    exactly as `line.split(",")` does. Like the csv reader, the parser reads
+    a CRLF as an LF and a last line without LF as if it had one. The text is
     read `_PLAIN_BLOCK` characters at a time. A block's whole lines pass if
     their UTF-8 bytes, all but commas and LFs deleted, read ",,,\n" per line
     (no multi-byte sequence holds either byte; a lone surrogate raises
@@ -232,7 +235,8 @@ def _parse_plain_lines(handle: TextIO) -> FlowRecordSet | None:
     keys = array("q"), array("q"), array("q")  # p, r, c
     amounts = array("d")
     header, rest = None, ""
-    for block in iter(partial(handle.read, _PLAIN_BLOCK), ""):
+    final_lf = iter(lambda: "\n" if rest else "", "")  # ends a last line that lacks one
+    for block in chain(iter(partial(handle.read, _PLAIN_BLOCK), ""), final_lf):
         text = rest + block
         end = text.rfind("\n") + 1
         whole, rest = text[:end], text[end:]
@@ -240,7 +244,11 @@ def _parse_plain_lines(handle: TextIO) -> FlowRecordSet | None:
             return None
         if not whole:
             continue
-        if ('"' in whole or "\r" in whole or "\0" in whole
+        if "\r" in whole:
+            whole = whole.replace("\r\n", "\n")
+            if "\r" in whole:  # a lone CR
+                return None
+        if ('"' in whole or "\0" in whole
                 or whole.encode().translate(None, _NOT_DELIMITER)
                 != b",,,\n" * whole.count("\n")
                 or (len(whole) > limit and max(map(len, whole.split("\n"))) > limit)):
@@ -260,7 +268,7 @@ def _parse_plain_lines(handle: TextIO) -> FlowRecordSet | None:
         for column, ids in zip(keys, columns):
             column.fromlist(ids)
         amounts.frombytes(np.array(fields[3::4], dtype=float).tobytes())
-    if rest or header is None:  # a last line without LF, or no header line
+    if header is None:  # no header line
         return None
     p, r, c = (np.frombuffer(column, dtype=np.int64) for column in keys)
     values = np.frombuffer(amounts, dtype=float)
@@ -285,8 +293,7 @@ def _parse_flow_text(handle: TextIO) -> FlowRecordSet:
     """Parse flow CSV from an open text handle at its start: by plain lines
     (`_parse_plain_lines`) when the whole text is plain, else from the start
     again with the csv reader. The csv reader is the reference: it words
-    every error and is the only path for quoted, CRLF, lone-CR or blank-line
-    text. A handle that cannot seek back, such as a pipe, goes straight to it.
+    every error and is the only path for quoted, lone-CR or blank-line text. A handle that cannot seek back, such as a pipe, goes straight to it.
     The csv reader gets bounded lines (`_bounded_lines`), so an over-long
     line is rejected after about a million of its characters are read.
     """
@@ -310,8 +317,9 @@ def parse_flow_csv(source: str) -> FlowRecordSet:
     blank lines count as rows. A field over the csv size limit, or a line
     longer than any valid row, is reported at its line number, which is the
     row number unless a quoted field spans lines.
-    Plain text, in which every line ends in LF and holds three commas and no
-    quote, is split by lines; any other text is read by the csv reader.
+    Plain text, in which every line ends in LF or CRLF (the last line may end
+    in neither) and holds three commas and no quote, is split by lines; any
+    other text is read by the csv reader.
     """
     return _parse_flow_text(io.StringIO(source, newline=""))
 

@@ -639,6 +639,52 @@ def test_written_flow_file_takes_the_plain_line_path(tmp_path, monkeypatch):
     assert parse_flow_csv(serialize_flow_csv(records)) == records
 
 
+LINE_ENDS = {"lf": lambda text: text, "crlf": lambda text: text.replace("\n", "\r\n"),
+             "no-final-lf": lambda text: text[:-1],
+             "crlf-no-final-lf": lambda text: text.replace("\n", "\r\n")[:-2]}
+
+
+def test_crlf_and_a_missing_final_lf_take_the_plain_line_path(tmp_path, monkeypatch):
+    records = generate_synthetic_series(n_core=3, n_periphery=12, core_weight_scale=100.0,
+                                        periphery_weight_scale=1.0, n_periods=6, seed=3,
+                                        link_prob_start=0.1, link_prob_end=0.6)
+    text = serialize_flow_csv(records)
+    assert len(text) > 8192 and text.endswith("\n")
+
+    def no_csv_reader(*args, **kwargs):
+        raise AssertionError("the csv reader ran")
+
+    monkeypatch.setattr(ingest, "_parse_flow_rows", no_csv_reader)
+    path = tmp_path / "flows.csv"
+    for name, line_ends in LINE_ENDS.items():
+        path.write_bytes(line_ends(text).encode())
+        assert parse_flow_file(path) == records, name
+        assert parse_flow_csv(line_ends(text)) == records, name
+
+
+@pytest.mark.parametrize("text", [
+    f"{HEADER}\r\n2008-Q3,US,GB,1\r2008-Q3,GB,US,2\r\n",
+    f'{HEADER}\r\n2008-Q3,US,"GB",1\r\n',
+    f"{HEADER}\r\n\r\n2008-Q3,US,GB,1\r\n",
+    f"{HEADER}\n2008-Q3,US,GB,1\n\n",
+], ids=["lone-cr", "quoted-field", "blank-line", "final-blank-line"])
+def test_text_that_is_not_plain_reaches_the_csv_reader(monkeypatch, text):
+    calls = []
+    rows = ingest._parse_flow_rows
+    monkeypatch.setattr(ingest, "_parse_flow_rows",
+                        lambda reader: calls.append(reader) or rows(reader))
+    assert len(parse_flow_csv(text)) in (1, 2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("line_ends", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+def test_a_bad_row_past_the_first_block_keeps_its_row_number(line_ends):
+    text = past_the_first_block("2008-Q3,GB,US,2\n2008-Q3,GB,US,-1\n").decode()
+    with pytest.raises(DataError) as info:
+        parse_flow_csv(line_ends(text))
+    assert str(info.value) == "row 503: negative or non-numeric amount -1.0"
+
+
 def test_a_pipe_is_read_by_the_csv_reader(monkeypatch):
     data = past_the_first_block("2008-Q3,GB,US,2\n")
     calls = []

@@ -169,15 +169,23 @@ def test_stack_errors_name_the_matrix():
         assert excinfo.value.index == 1
 
 
-# Two 2x2 matrices whose radius is past the float maximum. Their largest
-# entries scale to the same power of two, so they take the steps they take at
-# unit scale: the first needs 116 steps (its pair passes at the end of the
-# eighth block), the second passes at the end of the first block.
-LATE_OVERFLOW = np.array([[1.7, 0.2], [0.3, 1.5]]) * 2.0 ** 1023
+# Two 2x2 matrices whose radius is past the float maximum (about 1.86e308
+# and 2.43e308). Their largest entries scale to the same power of two, so
+# they take the steps they take at unit scale: the first needs 129 steps (its
+# pair passes at the end of the ninth block), the second passes at the end of
+# the first block.
+LATE_OVERFLOW = np.array([[1.9, 0.2], [0.3, 1.7]]) * 2.0 ** 1023
 EARLY_OVERFLOW = np.array([[1.2, 1.5], [1.5, 1.2]]) * 2.0 ** 1023
 # Its radius is past the float maximum, and its pair passes at the end of the
 # sixth block.
 SIXTH_BLOCK_OVERFLOW = np.array([[1.9, 0.3], [0.4, 1.7]]) * 2.0 ** 1023
+
+
+@pytest.mark.parametrize("matrix", [LATE_OVERFLOW, EARLY_OVERFLOW, SIXTH_BLOCK_OVERFLOW],
+                         ids=["late", "early", "sixth-block"])
+def test_each_overflow_matrix_alone_exceeds_the_float_range(matrix):
+    with pytest.raises(DataError, match="exceeds the float range"):
+        leading_eigenpair(matrix)
 
 
 @pytest.mark.parametrize("stack, index", [
