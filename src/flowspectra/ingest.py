@@ -29,8 +29,6 @@ ENTITY_PATTERN = re.compile(r"^[A-Z0-9][A-Z0-9_.\-]*$")
 
 FLOW_CSV_HEADER = ("period", "reporter", "counterparty", "amount")
 
-DEFAULT_SYNTHETIC_PERIOD = "2000-Q1"
-
 #: Characters of flow CSV text the plain-line parse reads at a time. Each
 #: block's field strings live until the block is done: on 20,000 rows,
 #: 8 KiB keeps the parse's peak at 1.9 times the columns it returns, and
@@ -619,8 +617,8 @@ def _draw_weight(rng: np.random.Generator, scale: float) -> float:
 
 def generate_synthetic(n_core: int, n_periphery: int, core_weight_scale: float,
                        periphery_weight_scale: float, link_prob_pp: float,
-                       seed: int, period: str = DEFAULT_SYNTHETIC_PERIOD) -> FlowRecordSet:
-    """Generate one period of a core-periphery flow network.
+                       seed: int) -> FlowRecordSet:
+    """Generate quarter 2000-Q1 of a core-periphery flow network.
 
     All ordered core-core pairs are linked with weights uniform on
     (0, core_weight_scale]; every core-periphery ordered pair is linked with
@@ -629,7 +627,8 @@ def generate_synthetic(n_core: int, n_periphery: int, core_weight_scale: float,
     The same seed reproduces the output bit for bit.
     """
     return FlowRecordSet.from_rows(_synthetic_rows(n_core, n_periphery, core_weight_scale,
-                                                   periphery_weight_scale, link_prob_pp, seed, period))
+                                                   periphery_weight_scale, link_prob_pp, seed,
+                                                   "2000-Q1"))
 
 
 def _synthetic_rows(n_core: int, n_periphery: int, core_weight_scale: float,
@@ -637,7 +636,6 @@ def _synthetic_rows(n_core: int, n_periphery: int, core_weight_scale: float,
                     seed: int, period: str) -> list[tuple[str, str, str, float]]:
     _check_synthetic_args(n_core, n_periphery, core_weight_scale,
                           periphery_weight_scale, link_prob_pp)
-    _check_period(period)
     if seed < 0:
         raise DataError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)

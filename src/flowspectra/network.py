@@ -13,8 +13,6 @@ import numpy as np
 from .errors import DataError
 from .ingest import FlowRecordSet, serialize_flow_csv
 
-VOLUME_MODES = ("both", "out", "in")
-
 
 @dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
@@ -99,26 +97,15 @@ def density(snapshot: NetworkSnapshot) -> float:
     return snapshot.edge_count / (n * (n - 1))
 
 
-def volume_share(snapshot: NetworkSnapshot, mode: str = "both") -> np.ndarray:
-    """Percentage of total volume attributable to each entity.
-
-    Mode "both" counts lending and borrowing (row plus column sums, halved);
-    "out" counts lending only, "in" borrowing only. Shares sum to 100.
-    """
-    if mode not in VOLUME_MODES:
-        raise DataError(f"unknown volume mode {mode!r} (expected one of {VOLUME_MODES})")
+def volume_share(snapshot: NetworkSnapshot) -> np.ndarray:
+    """Percentage of total volume attributable to each entity: its lending
+    plus its borrowing (row plus column sum), halved. Shares sum to 100."""
     total = total_volume(snapshot)
     if total <= 0:
         raise DataError("volume share undefined for zero total volume")
     out_sums = snapshot.weights.sum(axis=1)
     in_sums = snapshot.weights.sum(axis=0)
-    if mode == "out":
-        shares = out_sums / total
-    elif mode == "in":
-        shares = in_sums / total
-    else:
-        shares = (out_sums + in_sums) / (2.0 * total)
-    return shares * 100.0
+    return (out_sums + in_sums) / (2.0 * total) * 100.0
 
 
 def snapshot_to_flow_csv(snapshot: NetworkSnapshot) -> str:

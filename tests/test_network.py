@@ -128,14 +128,6 @@ def test_volume_share_examples():
     assert volume_share(padded)[2] == 0.0
 
 
-def test_volume_share_modes():
-    one_way = NetworkSnapshot("2008-Q3", ("A", "B"), np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert volume_share(one_way, "out").tolist() == [100.0, 0.0]
-    assert volume_share(one_way, "in").tolist() == [0.0, 100.0]
-    with pytest.raises(DataError):
-        volume_share(one_way, "sideways")
-
-
 def test_volume_share_rejects_zero_volume():
     zero = NetworkSnapshot("2008-Q3", ("A", "B"), np.zeros((2, 2)))
     with pytest.raises(DataError, match="zero total volume"):
@@ -154,8 +146,7 @@ def test_share_sums_and_matrix_invariants_random():
         snapshot = NetworkSnapshot("2000-Q1", tuple(f"E{i:02d}" for i in range(n)), weights)
         assert snapshot.weights.min() >= 0
         assert np.trace(snapshot.weights) == 0.0
-        for mode in ("both", "out", "in"):
-            assert abs(volume_share(snapshot, mode).sum() - 100.0) < 1e-9
+        assert abs(volume_share(snapshot).sum() - 100.0) < 1e-9
 
 
 def test_snapshot_flow_csv_rebuilds_same_matrix():

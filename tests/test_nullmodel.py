@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flowspectra import (
     ConvergenceError,
@@ -282,6 +282,25 @@ def test_each_stacked_replica_equals_its_own_solve(monkeypatch, spectrum_mode, m
         else:
             alone, _ = leading_eigenpair(replica.weights)
         assert lam == alone
+
+
+@pytest.mark.parametrize("mode", [MODE_LINK_SHUFFLE, MODE_WEIGHT_PERMUTE])
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 8), matrix_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**32 - 1), replica=st.integers(0, 7), data=st.data())
+def test_a_relabelled_replica_solved_alone_replays_its_null_value(
+        mode, n, matrix_seed, seed, replica, data):
+    # Replica k with its entities renamed is still one matrix to the solver,
+    # which orders entities by (row max, column max): when those keys are
+    # distinct, it must get the bits that the ensemble's stack gave replica k.
+    weights = np.random.default_rng(matrix_seed).random((n, n)) * 1e3 + 1.0
+    np.fill_diagonal(weights, 0.0)
+    snapshot = snapshot_of(weights)
+    a = shuffle_snapshot(snapshot, seed, mode, replica=replica).weights
+    assume(len(set(zip(a.max(axis=1), a.max(axis=0)))) == n)
+    order = data.draw(st.permutations(range(n)))
+    alone, _ = leading_eigenpair(a[np.ix_(order, order)])
+    assert alone == null_ensemble(snapshot, 8, seed, mode).lambda_values[replica]
 
 
 @pytest.mark.parametrize("spectrum_mode", [MODE_DIRECTED, MODE_SYMMETRIZED])

@@ -1,4 +1,6 @@
 import flowspectra
+import flowspectra.ingest
+import flowspectra.network
 
 PUBLIC_NAMES = [
     "BisMapping",
@@ -57,3 +59,5 @@ def test_removed_names_stay_removed():
     for name in ("FlowRecord", "config_from_sources", "snapshot_to_dot", "snapshot_to_json",
                  "timeseries_from_json"):
         assert not hasattr(flowspectra, name), name
+    assert not hasattr(flowspectra.network, "VOLUME_MODES")
+    assert not hasattr(flowspectra.ingest, "DEFAULT_SYNTHETIC_PERIOD")
