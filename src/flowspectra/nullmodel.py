@@ -8,23 +8,31 @@ information" benchmark.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FlowspectraError
+from .errors import DataError
 from .network import NetworkSnapshot
 from .spectral import (
     MODE_DIRECTED,
     MODE_SYMMETRIZED,
     SPECTRUM_MODES,
+    StackGroup,
     leading_eigenpair,
-    symmetric_lambda_max,
+    solve_stack,
 )
 
 MODE_LINK_SHUFFLE = "link-shuffle"
 MODE_WEIGHT_PERMUTE = "weight-permute"
 SHUFFLE_MODES = (MODE_LINK_SHUFFLE, MODE_WEIGHT_PERMUTE)
+
+# leading_eigenpair is re-exported for the benchmark, which times it at this
+# name; the null itself solves through `solve_stack`.
+__all__ = ["MODE_LINK_SHUFFLE", "MODE_WEIGHT_PERMUTE", "SHUFFLE_MODES", "NullEnsembleStats",
+           "leading_eigenpair", "null_ensemble", "null_group", "null_stats", "shuffle_snapshot",
+           "work_stack"]
 
 
 @dataclass(frozen=True)
@@ -43,10 +51,23 @@ class NullEnsembleStats:
     lambda_values: tuple[float, ...]
 
 
-#: The null writes and solves its replicas in one reused buffer of
-#: min(R, max(1, _CHUNK_BYTES // (8 N^2))) matrices. At N = 31, 100 replicas
-#: stay one chunk: 256 and 512 KiB budgets split it and slowed the null.
+#: The budget of the one work stack (see `work_stack`), and of a chunk: a
+#: null's replicas rank for errors in chunks of min(R, max(1, _CHUNK_BYTES //
+#: (8 N^2))). At N = 31 a stack holds 136 matrices, so a quarter's matrix and
+#: 100 replicas join as one part; 256 and 512 KiB budgets slowed the null.
 _CHUNK_BYTES = 1 << 20
+
+
+def work_stack(n: int, count: int) -> np.ndarray:
+    """A zeroed work stack for `solve_stack` that solves `count` N x N
+    matrices: min(count, max(1, _CHUNK_BYTES // (8 N^2))) of them at a time,
+    so memory does not grow with the replica or quarter count. It is mapped
+    on its own, not taken from the heap: a heap block held through a run
+    left every later quarter's snapshot and `eigh` temporaries to be paged
+    in afresh (13,800 against 8,800 page faults for `flowspectra timeseries`
+    on a 200-entity, 8-quarter input)."""
+    size = min(count, max(1, _CHUNK_BYTES // (8 * n * n)))
+    return np.frombuffer(mmap.mmap(-1, 8 * size * n * n), dtype=float).reshape(size, n, n)
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:
@@ -112,47 +133,50 @@ def shuffle_snapshot(snapshot: NetworkSnapshot, seed: int,
     return NetworkSnapshot(snapshot.period, snapshot.entities, row.reshape(n, n))
 
 
-def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
-                  mode: str = MODE_LINK_SHUFFLE, *,
-                  spectrum_mode: str = MODE_DIRECTED) -> NullEnsembleStats:
-    """Null distribution of the leading eigenvalue over shuffled replicas.
+def null_group(snapshot: NetworkSnapshot, n_samples: int, seed: int,
+               mode: str = MODE_LINK_SHUFFLE, *, spectrum_mode: str = MODE_DIRECTED,
+               observed: bool = False) -> StackGroup:
+    """The `solve_stack` group of `snapshot`'s null: replicas 0 .. R-1 of
+    `shuffle_snapshot`, each written into its zeroed row as it is drawn when
+    it joins the stack, behind the snapshot's own matrix if `observed`.
 
-    The replicas are consecutive draws from one generator seeded with
-    `seed`, so they are independent and replayable, and the first R' of an
-    R-replica ensemble are the R'-replica ensemble; `shuffle_snapshot`
-    replays replica k. The replicas are written, each as it is drawn, into
-    one reused buffer of at most `_CHUNK_BYTES` and solved a chunk at a
-    time; the eigensolver overwrites the chunk in place, so memory does not
-    grow with `n_samples`. In symmetrized spectrum mode each chunk is
-    symmetrized in place and the top eigenvalue of each replica is used. A
-    solver error names the replica's place in the stream as `replica k`.
+    In symmetrized spectrum mode each matrix is symmetrized in place and its
+    top eigenvalue used. For errors the snapshot's matrix ranks first, then
+    the replicas in chunks (see `_CHUNK_BYTES`).
     """
     if spectrum_mode not in SPECTRUM_MODES:
         raise DataError(f"unknown spectrum mode {spectrum_mode!r}")
     if n_samples < 1:
         raise DataError("n_samples must be at least 1")
-    write = _replica_writer(snapshot, seed, mode)
-    n = snapshot.n_entities
-    buffer = np.empty((min(n_samples, max(1, _CHUNK_BYTES // (8 * n * n))), n, n))
-    lambdas = np.empty(n_samples)
-    for start in range(0, n_samples, len(buffer)):
-        chunk = buffer[:n_samples - start]
-        chunk.fill(0.0)
-        for row in chunk.reshape(len(chunk), n * n):
-            write(row)
-        solved = lambdas[start:start + len(chunk)]
-        if spectrum_mode == MODE_SYMMETRIZED:
-            chunk += chunk.swapaxes(1, 2)  # numpy copies the overlapping operand
-            chunk /= 2.0
-            solved[:] = symmetric_lambda_max(chunk)
-        else:
-            try:
-                solved[:], _ = leading_eigenpair(chunk)
-            except FlowspectraError as exc:  # keeps residual and iterations
-                exc.index += start
-                exc.args = (f"replica {exc.index}: {exc}",)
-                raise
+    replica = _replica_writer(snapshot, seed, mode)
+    n, first = snapshot.n_entities, int(observed)
+    chunk = min(n_samples, max(1, _CHUNK_BYTES // (8 * n * n)))
+    ranks = np.concatenate([np.zeros(first, dtype=np.intp), first + np.arange(n_samples) // chunk])
 
+    def write(rows: np.ndarray, start: int) -> None:
+        flat = rows.reshape(len(rows), n * n)
+        flat.fill(0.0)
+        if start < first:
+            flat[0] = snapshot.weights.ravel()
+            flat = flat[1:]
+        for row in flat:
+            replica(row)
+
+    return StackGroup(first + n_samples, write, ranks, vectors=first,
+                      symmetric=spectrum_mode == MODE_SYMMETRIZED)
+
+
+def null_stats(group: StackGroup, n_samples: int, seed: int, mode: str) -> NullEnsembleStats:
+    """The distribution of the last `n_samples` of the solved `group`'s
+    eigenvalues, its replicas'. Raises the group's error instead; a
+    replica's names its place in the stream as `replica k` (and `index`)."""
+    first = group.count - n_samples
+    if group.error is not None:
+        if group.error.index >= first:
+            group.error.index -= first
+            group.error.args = (f"replica {group.error.index}: {group.error}",)
+        raise group.error
+    lambdas = group.lambdas[first:]
     ordered = np.sort(lambdas)
     if ordered[0] == ordered[-1]:
         # Constant distribution: avoid the rounding a 50-term mean would add.
@@ -177,3 +201,22 @@ def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
         q99=q99,
         lambda_values=tuple(lambdas.tolist()),
     )
+
+
+def null_ensemble(snapshot: NetworkSnapshot, n_samples: int, seed: int,
+                  mode: str = MODE_LINK_SHUFFLE, *,
+                  spectrum_mode: str = MODE_DIRECTED) -> NullEnsembleStats:
+    """Null distribution of the leading eigenvalue over shuffled replicas.
+
+    The replicas are consecutive draws from one generator seeded with
+    `seed`, so they are independent and replayable, and the first R' of an
+    R-replica ensemble are the R'-replica ensemble; `shuffle_snapshot`
+    replays replica k. They are one `null_group`, solved in one work stack
+    of at most `_CHUNK_BYTES` that the replicas join as they are drawn, so
+    memory does not grow with `n_samples`. In symmetrized spectrum mode the
+    top eigenvalue of each symmetrized replica is used. A solver error names
+    the replica's place in the stream as `replica k` and as its `index`.
+    """
+    group = null_group(snapshot, n_samples, seed, mode, spectrum_mode=spectrum_mode)
+    next(solve_stack([group], work_stack(snapshot.n_entities, n_samples)))
+    return null_stats(group, n_samples, seed, mode)

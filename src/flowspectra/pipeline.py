@@ -23,19 +23,34 @@ from .network import (
     total_volume,
     volume_share,
 )
-from .nullmodel import MODE_LINK_SHUFFLE, SHUFFLE_MODES, NullEnsembleStats, null_ensemble
+from .nullmodel import (
+    MODE_LINK_SHUFFLE,
+    SHUFFLE_MODES,
+    NullEnsembleStats,
+    null_ensemble,
+    null_group,
+    null_stats,
+    work_stack,
+)
 from .spectral import (
     MODE_DIRECTED,
     MODE_SYMMETRIZED,
     SPECTRUM_MODES,
+    StackGroup,
     full_spectrum,
     ipr,
     leading_eigenpair,
     participation_percent,
-    symmetric_lambda_max,
+    solve_stack,
 )
 
 logger = logging.getLogger(__name__)
+
+# leading_eigenpair and null_ensemble are re-exported for the benchmark, which
+# times them at these names; a run itself solves through `solve_stack`.
+__all__ = ["PeriodResult", "PipelineConfig", "TimeSeriesResult", "analyze_period",
+           "dataset_fingerprint", "export", "json_text", "leading_eigenpair", "null_ensemble",
+           "null_seed", "period_to_json", "run_timeseries", "timeseries_to_json"]
 
 
 @dataclass(frozen=True)
@@ -120,45 +135,64 @@ def null_seed(records: FlowRecordSet, period: str, seed: int) -> int:
     return derive_seed(seed, records.periods.index(period))
 
 
-def analyze_period(records: FlowRecordSet, period: str,
-                   config: PipelineConfig | None = None) -> PeriodResult:
-    """Full spectral, null-model, and volume analysis of one period."""
-    config = config or PipelineConfig()
+def _quarter(records: FlowRecordSet, period: str, config: PipelineConfig):
+    """`period`'s analysis but for its stack solves: the `solve_stack` group
+    of its matrix (place 0) and its null's replicas, and a function that
+    makes the PeriodResult of the solved group or raises its error."""
     snapshot = build_snapshot(records, period)
     if not snapshot.weights.any():
         raise DataError(f"{period}: network has no edges")
-
+    seed = null_seed(records, period, config.seed)
     try:
-        sym = symmetrize(snapshot)
-        _, eigenvectors = full_spectrum(sym)
-        if config.spectrum_mode == MODE_SYMMETRIZED:
-            # The null's lambda, not eigh's (which may differ in the last
-            # bits), so a replica equal to the network has the same lambda.
-            lam, market_mode = float(symmetric_lambda_max(sym)), eigenvectors[0]
-        else:
-            lam, market_mode = leading_eigenpair(snapshot.weights)
-        stats = null_ensemble(snapshot, config.null_samples,
-                              null_seed(records, period, config.seed), config.null_mode,
-                              spectrum_mode=config.spectrum_mode)
+        _, eigenvectors = full_spectrum(symmetrize(snapshot))
+        group = null_group(snapshot, config.null_samples, seed, config.null_mode,
+                           spectrum_mode=config.spectrum_mode, observed=True)
         shares = volume_share(snapshot)
     except FlowspectraError as exc:
         # Prefix in place so subclass attributes (residual, iterations) survive.
         exc.args = (f"{period}: {exc}",)
         raise
+    entities, volume, dense = snapshot.entities, total_volume(snapshot), density(snapshot)
+    mean_ipr, top_mode = float(np.mean(ipr(eigenvectors))), eigenvectors[0].copy()
 
-    return PeriodResult(
-        period=period,
-        entities=snapshot.entities,
-        lambda_max=lam,
-        null_stats=stats,
-        mean_ipr=float(np.mean(ipr(eigenvectors))),
-        ipr_lambda_max=ipr(market_mode),
-        total_volume=total_volume(snapshot),
-        density=density(snapshot),
-        participation=tuple(float(x) for x in participation_percent(market_mode)),
-        volume_share=tuple(float(x) for x in shares),
-        market_mode=tuple(float(x) for x in market_mode),
-    )
+    def result() -> PeriodResult:
+        try:
+            stats = null_stats(group, config.null_samples, seed, config.null_mode)
+        except FlowspectraError as exc:
+            exc.args = (f"{period}: {exc}",)
+            raise
+        # In symmetrized mode lambda is solved as a replica's is, not taken
+        # from eigh (which may differ in the last bits), so a replica equal
+        # to the network has the same lambda; the market mode is eigh's.
+        market_mode = top_mode if config.spectrum_mode == MODE_SYMMETRIZED else group.vectors[0]
+        return PeriodResult(
+            period=period,
+            entities=entities,
+            lambda_max=float(group.lambdas[0]),
+            null_stats=stats,
+            mean_ipr=mean_ipr,
+            ipr_lambda_max=ipr(market_mode),
+            total_volume=volume,
+            density=dense,
+            participation=tuple(float(x) for x in participation_percent(market_mode)),
+            volume_share=tuple(float(x) for x in shares),
+            market_mode=tuple(float(x) for x in market_mode),
+        )
+
+    return group, result
+
+
+def analyze_period(records: FlowRecordSet, period: str,
+                   config: PipelineConfig | None = None) -> PeriodResult:
+    """Full spectral, null-model, and volume analysis of one period: the
+    one-period case of `run_timeseries`, with the same bits and errors. The
+    period's matrix and its replicas are solved in one work stack, the
+    matrix at place 0: a solver error about it has `index` 0, and one about
+    replica k reads `replica k: ...` and has `index` k."""
+    config = config or PipelineConfig()
+    group, result = _quarter(records, period, config)
+    next(solve_stack([group], work_stack(len(records.entities), group.count)))
+    return result()
 
 
 def run_timeseries(records: FlowRecordSet,
@@ -167,38 +201,61 @@ def run_timeseries(records: FlowRecordSet,
 
     Periods with an all-zero matrix are skipped with a warning; per-period
     failures are collected and the run fails only if no period succeeds.
+    Every eigenvalue problem of the run (each period's matrix, then its
+    replicas) is solved in one work stack of at most `_CHUNK_BYTES` that
+    `solve_stack` keeps filled: a period's matrices join it as soon as they
+    fit and share blocks with the previous period's slowest ones. Each
+    period gets the result or error that `analyze_period` gives it alone.
     """
     config = config or PipelineConfig()
     periods = records.periods
     if not periods:
         raise DataError("record set has no periods")
 
-    results: list[PeriodResult] = []
+    results: dict[int, PeriodResult] = {}
     skipped: list[str] = []
-    failures: list[tuple[str, str]] = []
-    for k, period in enumerate(periods):
-        # Amounts are finite and nonnegative, so the matrix is all-zero
-        # exactly when every amount is zero; no snapshot is needed to tell.
-        if not records.amounts[records.period_index == k].any():
-            logger.warning("skipping period %s: all-zero matrix", period)
-            skipped.append(period)
-            continue
-        try:
-            results.append(analyze_period(records, period, config))
-        except FlowspectraError as exc:
-            logger.warning("period %s failed: %s", period, exc)
-            failures.append((period, str(exc)))
+    failures: dict[int, tuple[str, str]] = {}
+    pending: dict[StackGroup, tuple] = {}
 
+    def fail(k: int, exc: FlowspectraError) -> None:
+        logger.warning("period %s failed: %s", periods[k], exc)
+        failures[k] = (periods[k], str(exc))
+
+    def quarters():
+        for k, period in enumerate(periods):
+            # Amounts are finite and nonnegative, so the matrix is all-zero
+            # exactly when every amount is zero; no snapshot is needed to tell.
+            if not records.amounts[records.period_index == k].any():
+                logger.warning("skipping period %s: all-zero matrix", period)
+                skipped.append(period)
+                continue
+            try:
+                group, result = _quarter(records, period, config)
+            except FlowspectraError as exc:
+                fail(k, exc)
+                continue
+            pending[group] = (k, result)
+            yield group
+
+    stack = work_stack(len(records.entities), len(periods) * (config.null_samples + 1))
+    for group in solve_stack(quarters(), stack):
+        k, result = pending.pop(group)
+        try:
+            results[k] = result()
+        except FlowspectraError as exc:
+            fail(k, exc)
+
+    failed = tuple(failures[k] for k in sorted(failures))
     if not results:
-        detail = "; ".join(msg for _, msg in failures) or "all periods skipped"
+        detail = "; ".join(msg for _, msg in failed) or "all periods skipped"
         raise DataError(f"no period produced a result: {detail}")
 
     return TimeSeriesResult(
-        results=tuple(results),
+        results=tuple(results[k] for k in sorted(results)),
         fingerprint=dataset_fingerprint(records),
         config=config,
         skipped=tuple(skipped),
-        failures=tuple(failures),
+        failures=failed,
     )
 
 

@@ -127,12 +127,15 @@ def test_analyze_tiny_amounts_keep_a_positive_radius():
 
 
 def test_analyze_error_keeps_period_residual_and_iterations(monkeypatch):
-    import flowspectra.pipeline as pipeline_module
+    import flowspectra.spectral as spectral_module
+    screen = spectral_module._screen
 
-    def stuck(snapshot):
-        raise ConvergenceError("stuck", residual=0.25, iterations=7)
+    def stuck(stack):  # the period's own matrix, place 0, fails
+        exponents, failures = screen(stack)
+        return exponents, failures + [(0, 0, ConvergenceError("stuck", residual=0.25,
+                                                               iterations=7))]
 
-    monkeypatch.setattr(pipeline_module, "leading_eigenpair", stuck)
+    monkeypatch.setattr(spectral_module, "_screen", stuck)
     with pytest.raises(ConvergenceError, match="^2008-Q3: stuck$") as excinfo:
         analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", FAST)
     assert excinfo.value.residual == 0.25
@@ -146,14 +149,12 @@ def test_analyze_weights_too_far_apart_fail_with_the_period():
 
 
 def test_symmetrized_mode_does_not_need_the_perron_pair(monkeypatch):
-    import flowspectra.nullmodel as nullmodel_module
-    import flowspectra.pipeline as pipeline_module
+    import flowspectra.spectral as spectral_module
 
-    def stuck(snapshot):
+    def stuck(stack):  # every Perron problem is screened here first
         raise ConvergenceError("stuck", residual=0.25, iterations=7)
 
-    monkeypatch.setattr(pipeline_module, "leading_eigenpair", stuck)
-    monkeypatch.setattr(nullmodel_module, "leading_eigenpair", stuck)
+    monkeypatch.setattr(spectral_module, "_screen", stuck)
     config = PipelineConfig(seed=5, null_samples=5, spectrum_mode=MODE_SYMMETRIZED)
     result = analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", config)
     assert result.lambda_max == pytest.approx(4.0, rel=1e-10)
@@ -161,13 +162,17 @@ def test_symmetrized_mode_does_not_need_the_perron_pair(monkeypatch):
 
 
 def test_replica_error_keeps_period_replica_residual_and_iterations(monkeypatch):
-    import flowspectra.nullmodel as nullmodel_module
+    import flowspectra.spectral as spectral_module
+    screen = spectral_module._screen
 
     def stuck_on_replica_3(stack):
-        assert stack.shape == (FAST.null_samples, 2, 2)
-        raise ConvergenceError("stuck", residual=0.5, iterations=11, index=3)
+        # The period's matrix and its replicas join the stack as one part.
+        assert stack.shape == (FAST.null_samples + 1, 2, 2)
+        exponents, failures = screen(stack)
+        return exponents, failures + [(0, 4, ConvergenceError("stuck", residual=0.5,
+                                                               iterations=11))]
 
-    monkeypatch.setattr(nullmodel_module, "leading_eigenpair", stuck_on_replica_3)
+    monkeypatch.setattr(spectral_module, "_screen", stuck_on_replica_3)
     with pytest.raises(ConvergenceError, match="^2008-Q3: replica 3: stuck$") as excinfo:
         analyze_period(parse_flow_csv(TWO_NODE), "2008-Q3", FAST)
     assert excinfo.value.residual == 0.5

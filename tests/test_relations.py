@@ -8,15 +8,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from flowspectra import (
     FlowRecordSet,
+    FlowspectraError,
     MODE_LINK_SHUFFLE,
     MODE_SYMMETRIZED,
     MODE_WEIGHT_PERMUTE,
     PipelineConfig,
+    analyze_period,
     build_snapshot,
     generate_synthetic_series,
     run_timeseries,
     timeseries_to_json,
 )
+from flowspectra import nullmodel
+from flowspectra.pipeline import json_text, period_to_json
 from flowspectra.spectral import MODE_DIRECTED
 
 MODES = [(spectrum, null) for spectrum in (MODE_DIRECTED, MODE_SYMMETRIZED)
@@ -142,3 +146,48 @@ def test_reordering_relabelling_permutes_the_perron_pair_exactly(spectrum_mode, 
             assert bits(b.lambda_max) == bits(a.lambda_max)
             for name in ("participation", "market_mode"):
                 assert bits(np.asarray(getattr(b, name))[order]) == bits(getattr(a, name)), name
+
+
+def with_a_failing_middle_quarter(records):
+    """`records` with two amounts of its middle quarter set 400 orders of
+    magnitude apart: no float scale keeps both positive, so its Perron
+    problem fails when it joins the stack. Symmetrized mode solves no Perron
+    problem, and there the quarter has a result."""
+    amounts = records.amounts.copy()
+    first, second = np.flatnonzero(records.period_index == len(records.periods) // 2)[:2]
+    amounts[first], amounts[second] = 1e200, 1e-200
+    return FlowRecordSet(records.periods, records.entities, records.period_index,
+                         records.reporter_index, records.counterparty_index, amounts)
+
+
+# 5 quarters of 31 entities: a quarter's matrix and 12 replicas fill 13 of the
+# stack's 136 places, so every quarter joins while the previous one runs.
+RECORDS_31 = with_a_failing_middle_quarter(generate_synthetic_series(
+    6, 25, 100.0, 1.0, n_periods=5, seed=29, link_prob_start=0.05, link_prob_end=0.5))
+
+
+@pytest.mark.parametrize("matrices_per_stack", [None, 3])
+@pytest.mark.parametrize("spectrum_mode, null_mode", MODES)
+def test_each_quarter_of_a_run_is_the_quarter_alone(monkeypatch, spectrum_mode, null_mode,
+                                                    matrices_per_stack):
+    # With room for 3 matrices a quarter's 13 join the stack in 5 parts, and
+    # its replicas rank for errors in chunks of 3.
+    if matrices_per_stack is not None:
+        monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", matrices_per_stack * 8 * 31 ** 2)
+    run_config = config(spectrum_mode, null_mode)
+    run = run_timeseries(RECORDS_31, run_config)
+    results, failures = [], []
+    for period in RECORDS_31.periods:
+        try:
+            results.append(json_text(period_to_json(analyze_period(RECORDS_31, period, run_config))))
+        except FlowspectraError as exc:
+            failures.append((period, str(exc)))
+    assert [json_text(period_to_json(r)) for r in run.results] == results
+    assert list(run.failures) == failures
+    if spectrum_mode == MODE_DIRECTED:
+        middle = RECORDS_31.periods[2]
+        assert run.failures == ((middle, f"{middle}: weights span too many orders of "
+                                 "magnitude: scaled by 2**-665 into the float range, "
+                                 "positive weights underflow to 0"),)
+    else:
+        assert len(run.results) == 5

@@ -24,6 +24,7 @@ from flowspectra import (
     generate_synthetic_series,
     leading_eigenpair,
     null_ensemble,
+    run_timeseries,
     spectral,
 )
 from flowspectra.spectral import RESIDUAL_RTOL
@@ -194,6 +195,30 @@ def test_null_heavy_series_fits_a_step_budget(monkeypatch):
     assert sum(rows) % 3 == 0
     # The series takes 13,911 active-matrix blocks; the bound is 14,213.
     assert sum(rows) // 3 <= 14_213
+
+
+def test_null_heavy_quarters_share_stack_blocks(monkeypatch):
+    # The same series through run_timeseries, at the default cap: each
+    # quarter's matrix and 100 replicas join the one work stack (136 places
+    # at N = 31) as soon as they fit, so a quarter's slowest replicas run in
+    # the blocks of the next. Every matrix still takes the blocks it takes
+    # alone: 14,203 active-matrix blocks, as when each quarter's matrix and
+    # null were solved as stacks of their own, in 613 stack blocks (47 for
+    # the matrices, 566 for the nulls). Shared, they take 152 stack blocks;
+    # without the overlap they could not take fewer than 566.
+    rows, dots = [], spectral._dots
+
+    def counting(x, y):
+        rows.append(len(x))
+        return dots(x, y)
+
+    monkeypatch.setattr(spectral, "_dots", counting)
+    records = generate_synthetic_series(6, 25, 100.0, 1.0, 24, seed=1101,
+                                        link_prob_start=0.05, link_prob_end=0.5)
+    run_timeseries(records, PipelineConfig(seed=1102, null_samples=100))
+    assert len(rows) % 3 == 0
+    assert sum(rows) // 3 == 14_203
+    assert len(rows) // 3 <= 152 + 15
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError,

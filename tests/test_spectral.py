@@ -232,6 +232,49 @@ def test_iteration_cap_with_lambda_past_the_float_range(monkeypatch):
     assert (excinfo.value.iterations, excinfo.value.index) == (1, 1)
 
 
+def stack_group(matrices, ranks):
+    """A `solve_stack` group that writes `matrices` as they join."""
+    matrices = np.array(matrices, dtype=float)
+
+    def write(rows, start):
+        rows[:] = matrices[start:start + len(rows)]
+
+    return spectral.StackGroup(len(matrices), write, ranks)
+
+
+def test_an_error_of_a_lower_rank_comes_first_even_when_it_is_found_later(monkeypatch):
+    # The negative matrix fails its check as it joins; the slow one of rank
+    # 0 fails 64 steps later and is the group's error, as when each rank
+    # was solved on its own in rank order.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 64)
+    group = stack_group([SLOW, [[0.0, -1.0], [1.0, 0.0]]], [0, 1])
+    assert next(spectral.solve_stack([group], np.empty((2, 2, 2)))) is group
+    assert isinstance(group.error, ConvergenceError)
+    assert (group.error.index, group.error.iterations) == (0, 64)
+
+
+def test_a_failed_group_stops_joining_and_the_next_keeps_its_bits(monkeypatch):
+    # One place in the stack: the slow matrix fails at the cap, so its
+    # group's rank-1 matrices never join, and the next group's two matrices
+    # join one at a time with the bits each has alone.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 64)
+    screened, screen = [], spectral._screen
+
+    def counting(stack):
+        screened.append(len(stack))
+        return screen(stack)
+
+    monkeypatch.setattr(spectral, "_screen", counting)
+    failing = stack_group([SLOW, FAST, FAST], [0, 1, 1])
+    passing = stack_group([FAST, 3 * FAST], [0, 0])
+    yielded = list(spectral.solve_stack([failing, passing], np.empty((1, 2, 2))))
+    assert yielded == [failing, passing]
+    assert screened == [1, 1, 1]
+    assert (failing.error.index, failing.error.iterations) == (0, 64)
+    assert passing.error is None
+    assert passing.lambdas.tolist() == [leading_eigenpair(a)[0] for a in (FAST, 3 * FAST)]
+
+
 @pytest.mark.parametrize("matrix", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.5], [1.5, 1.0]]])
 def test_uniform_eigenvector_returns_at_the_first_step(monkeypatch, matrix):
     # The start vector is already the eigenvector, so the first pair passes.
